@@ -194,6 +194,12 @@ func (j *Job) Subscribe() (past []JobEvent, live <-chan JobEvent, cancel func())
 // subscriber channels after delivery.
 func (j *Job) emit(ev JobEvent, terminal bool) {
 	j.mu.Lock()
+	j.emitLocked(ev, terminal)
+	j.mu.Unlock()
+}
+
+// emitLocked is emit with j.mu already held.
+func (j *Job) emitLocked(ev JobEvent, terminal bool) {
 	j.events = append(j.events, ev)
 	for id, ch := range j.subs {
 		select {
@@ -205,7 +211,6 @@ func (j *Job) emit(ev JobEvent, terminal bool) {
 			close(ch)
 		}
 	}
-	j.mu.Unlock()
 }
 
 // flight is one in-flight cell execution shared by every job that
@@ -483,17 +488,6 @@ func (q *JobQueue) runJob(job *Job, tenantSem chan struct{}) {
 		})
 	}
 
-	job.mu.Lock()
-	job.results = results
-	if firstErr != nil {
-		job.state = JobFailed
-		job.err = firstErr
-	} else {
-		job.state = JobDone
-	}
-	job.finishedAt = time.Now()
-	nDone := job.nDone
-	job.mu.Unlock()
 	q.mu.Lock()
 	if firstErr != nil {
 		q.stats.Failed++
@@ -504,12 +498,26 @@ func (q *JobQueue) runJob(job *Job, tenantSem chan struct{}) {
 	if firstErr != nil {
 		mGWJobsFailed.Inc()
 		q.logf("gateway: job %s (%s) failed after %v: %v", job.ID, job.Tenant, elapsed.Round(time.Millisecond), firstErr)
-		job.emit(JobEvent{Kind: "failed", Err: firstErr.Error(),
-			Done: nDone, Total: len(job.Cells)}, true)
 	} else {
 		mGWJobsCompleted.Inc()
-		job.emit(JobEvent{Kind: "done", Done: len(job.Cells), Total: len(job.Cells)}, true)
 	}
+
+	// The terminal state and the terminal event change together: a
+	// Subscribe that finds the job finished must find the event in its
+	// snapshot, since its channel is closed at once.
+	job.mu.Lock()
+	job.results = results
+	job.finishedAt = time.Now()
+	if firstErr != nil {
+		job.state = JobFailed
+		job.err = firstErr
+		job.emitLocked(JobEvent{Kind: "failed", Err: firstErr.Error(),
+			Done: job.nDone, Total: len(job.Cells)}, true)
+	} else {
+		job.state = JobDone
+		job.emitLocked(JobEvent{Kind: "done", Done: len(job.Cells), Total: len(job.Cells)}, true)
+	}
+	job.mu.Unlock()
 	close(job.done)
 }
 

@@ -294,6 +294,69 @@ func TestJobEventsStream(t *testing.T) {
 	}
 }
 
+// TestJobStreamsEndInTerminalEvent: a subscriber that joins at any
+// moment — including the instant a job finishes — must see a stream
+// ending in done or failed. Subscribers resubscribe in a loop around
+// completion, so a terminal state published before its event (a closed
+// channel over a snapshot without the event) is caught.
+func TestJobStreamsEndInTerminalEvent(t *testing.T) {
+	t.Parallel()
+	errBoom := errors.New("boom")
+	q := NewJobQueue(QueueConfig{Workers: 4, Exec: func(c harness.Cell) (harness.CellResult, error) {
+		if c.Threads%2 == 0 {
+			return harness.CellResult{}, errBoom
+		}
+		return harness.CellResult{}, nil
+	}})
+	const jobs, subscribers = 200, 4
+	var wg sync.WaitGroup
+	var streams atomic.Int64
+	for i := 0; i < jobs; i++ {
+		cell := fakeCell(fmt.Sprintf("w%d", i))
+		cell.Threads = 1 + i%2
+		j, err := q.Submit(JobSpec{Cells: []harness.Cell{cell}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < subscribers; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					finished := false
+					select {
+					case <-j.Done():
+						finished = true
+					default:
+					}
+					past, live, cancel := j.Subscribe()
+					last := ""
+					if len(past) > 0 {
+						last = past[len(past)-1].Kind
+					}
+					for ev := range live {
+						last = ev.Kind
+					}
+					cancel()
+					streams.Add(1)
+					if last != "done" && last != "failed" {
+						t.Errorf("job %s: stream ended with %q, want done or failed", j.ID, last)
+						return
+					}
+					if finished {
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if err := q.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d streams checked", streams.Load())
+}
+
 // TestProcPoolExecMatchesLocal: a cell executed through the pool's wire
 // protocol returns the same payload as local execution, and a worker
 // crash mid-assignment is healed by respawn-and-retry.

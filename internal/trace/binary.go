@@ -83,6 +83,10 @@ const (
 	accessFlagsMask = accessWrite | accessSameSize | accessSameLat | accessSamePhase
 )
 
+// minAccessRecord is the fewest bytes a v2 access record occupies: kind,
+// thread id, flags and the addr and ip deltas, one byte each.
+const minAccessRecord = 5
+
 // metaState is the prediction context for the layout snapshot: symbol
 // and object records each delta-encode their base address against the
 // previous record of the same kind (the snapshot is emitted in address
@@ -257,8 +261,13 @@ type binaryDecoder struct {
 	// may be half-updated), so every later call must return the same
 	// error rather than misparse from a random offset.
 	err error
-	// prev and meta mirror the encoder's prediction context (v2).
-	prev map[mem.ThreadID]accessState
+	// ev is the decoder-owned event read fills and returns; each call
+	// overwrites it.
+	ev Event
+	// prev and meta mirror the encoder's prediction context (v2). The
+	// per-thread state is pointer-valued so an access record costs one
+	// map lookup and updates its thread's state in place.
+	prev map[mem.ThreadID]*accessState
 	meta metaState
 	// sawIndex records that the stream ended at a valid index block
 	// (v3), for metadata inspection.
@@ -282,31 +291,42 @@ func newBinaryDecoder(br *bufio.Reader) (*binaryDecoder, error) {
 	if version == 0 {
 		return nil, fmt.Errorf("trace: bad binary magic %q", head)
 	}
-	d := &binaryDecoder{br: br, version: version, prev: make(map[mem.ThreadID]accessState)}
+	d := &binaryDecoder{br: br, version: version, prev: make(map[mem.ThreadID]*accessState)}
 	return d, nil
 }
 
-// next returns the next event. All errors — including io.EOF — are
-// terminal: the decoder latches the first one and returns it forever.
-func (d *binaryDecoder) next() (Event, error) {
+// read decodes the next record into the decoder-owned event and returns
+// it; the event is valid until the following call. All errors —
+// including io.EOF — are terminal: the decoder latches the first one
+// and returns it forever.
+func (d *binaryDecoder) read() (*Event, error) {
 	if d.err != nil {
-		return Event{}, d.err
+		return nil, d.err
 	}
-	ev, err := d.decode()
-	if err != nil {
+	if err := d.decode(); err != nil {
 		d.err = err
-		return Event{}, err
+		return nil, err
 	}
-	return ev, nil
+	return &d.ev, nil
 }
 
-func (d *binaryDecoder) decode() (Event, error) {
+// next is read returning a copy of the event.
+func (d *binaryDecoder) next() (Event, error) {
+	ev, err := d.read()
+	if err != nil {
+		return Event{}, err
+	}
+	return *ev, nil
+}
+
+// decode reads one record into d.ev.
+func (d *binaryDecoder) decode() error {
 	kind, err := d.br.ReadByte()
 	if err == io.EOF {
-		return Event{}, io.EOF
+		return io.EOF
 	}
 	if err != nil {
-		return Event{}, fmt.Errorf("trace: %w", err)
+		return fmt.Errorf("trace: %w", err)
 	}
 	if kind == kindIndexBlock && d.version >= BinaryV3 {
 		// Sequential readers skip the index: consume the payload,
@@ -314,63 +334,70 @@ func (d *binaryDecoder) decode() (Event, error) {
 		// indexed trace decodes to exactly its record stream, and any
 		// truncation or trailing garbage is a terminal error.
 		if err := d.skipIndexBlock(); err != nil {
-			return Event{}, err
+			return err
 		}
 		d.sawIndex = true
-		return Event{}, io.EOF
+		return io.EOF
 	}
-	ev := Event{Kind: Kind(kind)}
+	ev := &d.ev
+	// An access record sets every access field, so consecutive accesses
+	// skip the reset; any other pair clears the previous record's fields.
+	if Kind(kind) != KindAccess || ev.Kind != KindAccess {
+		*ev = Event{Kind: Kind(kind)}
+	}
 	switch ev.Kind {
 	case KindProgram:
 		cores, err := d.uvarint("cores", 1<<16-1)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		if cores == 0 {
-			return Event{}, fmt.Errorf("trace: zero core count")
+			return fmt.Errorf("trace: zero core count")
 		}
 		ev.Cores = int(cores)
 		if ev.Name, err = d.string("program name"); err != nil {
-			return Event{}, err
+			return err
 		}
 	case KindSymbol:
 		addr, err := d.column("addr", 1<<62, &d.meta.symAddr)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		ev.Addr = mem.Addr(addr)
-		if err := d.fields(
-			field{"size", 1 << 40, func(v uint64) { ev.Size = v }},
-		); err != nil {
-			return Event{}, err
+		if ev.Size, err = d.uvarint("size", 1<<40); err != nil {
+			return err
 		}
 		if ev.Name, err = d.string("symbol name"); err != nil {
-			return Event{}, err
+			return err
 		}
 	case KindObject:
 		addr, err := d.column("addr", 1<<62, &d.meta.objAddr)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		ev.Addr = mem.Addr(addr)
-		if err := d.fields(
-			field{"size", 1 << 40, func(v uint64) { ev.Size = v }},
-			field{"class", 1 << 40, func(v uint64) { ev.Class = v }},
-			field{"thread", MaxThreadID, func(v uint64) { ev.TID = mem.ThreadID(v) }},
-		); err != nil {
-			return Event{}, err
+		if ev.Size, err = d.uvarint("size", 1<<40); err != nil {
+			return err
 		}
+		if ev.Class, err = d.uvarint("class", 1<<40); err != nil {
+			return err
+		}
+		tid, err := d.uvarint("thread", MaxThreadID)
+		if err != nil {
+			return err
+		}
+		ev.TID = mem.ThreadID(tid)
 		if ev.Seq, err = d.column("seq", 1<<62, &d.meta.objSeq); err != nil {
-			return Event{}, err
+			return err
 		}
 		live, err := d.br.ReadByte()
 		if err != nil {
-			return Event{}, fmt.Errorf("trace: truncated object: %w", err)
+			return fmt.Errorf("trace: truncated object: %w", err)
 		}
 		ev.Live = live != 0
 		nframes, err := d.uvarint("frame count", MaxFrames)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		if nframes > 0 {
 			ev.Stack = make(heap.CallStack, 0, nframes)
@@ -378,107 +405,126 @@ func (d *binaryDecoder) decode() (Event, error) {
 		for i := uint64(0); i < nframes; i++ {
 			var f heap.Frame
 			if f.File, err = d.string("frame file"); err != nil {
-				return Event{}, err
+				return err
 			}
 			line, err := d.uvarint("frame line", 1<<31)
 			if err != nil {
-				return Event{}, err
+				return err
 			}
 			f.Line = int(line)
 			if f.Func, err = d.string("frame func"); err != nil {
-				return Event{}, err
+				return err
 			}
 			ev.Stack = append(ev.Stack, f)
 		}
 	case KindPhase:
 		idx, err := d.uvarint("phase index", MaxPhaseIndex)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		ev.Phase = int(idx)
 		par, err := d.br.ReadByte()
 		if err != nil {
-			return Event{}, fmt.Errorf("trace: truncated phase: %w", err)
+			return fmt.Errorf("trace: truncated phase: %w", err)
 		}
 		ev.Parallel = par != 0
 		if ev.Name, err = d.string("phase name"); err != nil {
-			return Event{}, err
+			return err
 		}
 	case KindThreadEnd:
-		if err := d.fields(
-			field{"thread id", MaxThreadID, func(v uint64) { ev.TID = mem.ThreadID(v) }},
-			field{"phase index", MaxPhaseIndex, func(v uint64) { ev.Phase = int(v) }},
-			field{"instrs", MaxInstrs, func(v uint64) { ev.Instrs = v }},
-		); err != nil {
-			return Event{}, err
+		tid, err := d.uvarint("thread id", MaxThreadID)
+		if err != nil {
+			return err
+		}
+		ev.TID = mem.ThreadID(tid)
+		phase, err := d.uvarint("phase index", MaxPhaseIndex)
+		if err != nil {
+			return err
+		}
+		ev.Phase = int(phase)
+		if ev.Instrs, err = d.uvarint("instrs", MaxInstrs); err != nil {
+			return err
 		}
 	case KindNote:
-		var err error
 		if ev.Name, err = d.string("note"); err != nil {
-			return Event{}, err
+			return err
 		}
 	case KindAccess:
 		tid, err := d.uvarint("thread id", MaxThreadID)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		ev.TID = mem.ThreadID(tid)
 		if d.version >= BinaryV2 {
 			flags, err := d.br.ReadByte()
 			if err != nil {
-				return Event{}, fmt.Errorf("trace: truncated access: %w", err)
+				return fmt.Errorf("trace: truncated access: %w", err)
 			}
 			if flags&^byte(accessFlagsMask) != 0 {
-				return Event{}, fmt.Errorf("trace: unknown access flag bits %#02x", flags)
+				return fmt.Errorf("trace: unknown access flag bits %#02x", flags)
 			}
 			ev.Write = flags&accessWrite != 0
 			st := d.prev[ev.TID]
-			if err := d.accessColumns(&ev, &st, flags); err != nil {
-				return Event{}, err
+			if st == nil {
+				st = &accessState{}
+				d.prev[ev.TID] = st
 			}
-			d.prev[ev.TID] = st
-			break
+			return d.accessColumns(ev, st, flags)
 		}
 		write, err := d.br.ReadByte()
 		if err != nil {
-			return Event{}, fmt.Errorf("trace: truncated access: %w", err)
+			return fmt.Errorf("trace: truncated access: %w", err)
 		}
 		ev.Write = write != 0
-		if err := d.fields(
-			field{"addr", 1 << 62, func(v uint64) { ev.Addr = mem.Addr(v) }},
-			field{"size", 1<<16 - 1, func(v uint64) { ev.Size = v }},
-			field{"ip", MaxInstrs, func(v uint64) { ev.IP = v }},
-			field{"lat", 1<<32 - 1, func(v uint64) { ev.Lat = uint32(v) }},
-			field{"phase index", MaxPhaseIndex, func(v uint64) { ev.Phase = int(v) }},
-		); err != nil {
-			return Event{}, err
+		addr, err := d.uvarint("addr", 1<<62)
+		if err != nil {
+			return err
 		}
+		ev.Addr = mem.Addr(addr)
+		if ev.Size, err = d.uvarint("size", 1<<16-1); err != nil {
+			return err
+		}
+		if ev.IP, err = d.uvarint("ip", MaxInstrs); err != nil {
+			return err
+		}
+		lat, err := d.uvarint("lat", 1<<32-1)
+		if err != nil {
+			return err
+		}
+		ev.Lat = uint32(lat)
+		phase, err := d.uvarint("phase index", MaxPhaseIndex)
+		if err != nil {
+			return err
+		}
+		ev.Phase = int(phase)
 	default:
-		return Event{}, fmt.Errorf("trace: unknown event kind %d", kind)
+		return fmt.Errorf("trace: unknown event kind %d", kind)
 	}
-	return ev, nil
+	return nil
 }
 
 // accessColumns decodes the v2 delta-encoded access columns against the
 // thread's prediction state, updating it in place. Columns whose "same"
 // flag is set repeat the state value and occupy no bytes.
 func (d *binaryDecoder) accessColumns(ev *Event, st *accessState, flags byte) error {
-	for _, c := range []struct {
-		name string
-		max  uint64
-		prev *uint64
-		same bool
-	}{
-		{"addr", 1 << 62, &st.addr, false},
-		{"ip", MaxInstrs, &st.ip, false},
-		{"size", 1<<16 - 1, &st.size, flags&accessSameSize != 0},
-		{"lat", 1<<32 - 1, &st.lat, flags&accessSameLat != 0},
-		{"phase index", MaxPhaseIndex, &st.phase, flags&accessSamePhase != 0},
-	} {
-		if c.same {
-			continue
+	if _, err := d.column("addr", 1<<62, &st.addr); err != nil {
+		return err
+	}
+	if _, err := d.column("ip", MaxInstrs, &st.ip); err != nil {
+		return err
+	}
+	if flags&accessSameSize == 0 {
+		if _, err := d.column("size", 1<<16-1, &st.size); err != nil {
+			return err
 		}
-		if _, err := d.column(c.name, c.max, c.prev); err != nil {
+	}
+	if flags&accessSameLat == 0 {
+		if _, err := d.column("lat", 1<<32-1, &st.lat); err != nil {
+			return err
+		}
+	}
+	if flags&accessSamePhase == 0 {
+		if _, err := d.column("phase index", MaxPhaseIndex, &st.phase); err != nil {
 			return err
 		}
 	}
@@ -516,24 +562,6 @@ func (d *binaryDecoder) column(what string, max uint64, prev *uint64) (uint64, e
 	}
 	*prev = v
 	return v, nil
-}
-
-// field is one bounded uvarint field of a binary record.
-type field struct {
-	name string
-	max  uint64
-	set  func(uint64)
-}
-
-func (d *binaryDecoder) fields(fs ...field) error {
-	for _, f := range fs {
-		v, err := d.uvarint(f.name, f.max)
-		if err != nil {
-			return err
-		}
-		f.set(v)
-	}
-	return nil
 }
 
 func (d *binaryDecoder) uvarint(what string, max uint64) (uint64, error) {

@@ -710,11 +710,15 @@ func newSeededDecoder(r io.Reader, threads []segThread, meta metaState) *binaryD
 	d := &binaryDecoder{
 		br:      bufio.NewReaderSize(r, 1<<16),
 		version: BinaryV3,
-		prev:    make(map[mem.ThreadID]accessState, len(threads)),
+		prev:    make(map[mem.ThreadID]*accessState, len(threads)),
 		meta:    meta,
 	}
-	for _, t := range threads {
-		d.prev[t.tid] = t.state
+	// Copies: the decoder updates its states in place, and the index's
+	// snapshots are shared by every replay of the file.
+	states := make([]accessState, len(threads))
+	for i, t := range threads {
+		states[i] = t.state
+		d.prev[t.tid] = &states[i]
 	}
 	return d
 }

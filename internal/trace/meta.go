@@ -52,7 +52,7 @@ func ReadMeta(r io.Reader) (*Meta, error) {
 		}
 	}
 	for {
-		ev, err := d.Next()
+		ev, err := d.read()
 		if err == io.EOF {
 			break
 		}

@@ -42,6 +42,28 @@ type replayPhase struct {
 	threads  map[mem.ThreadID]*replayThread
 }
 
+// appendAccess appends one access record to the thread's operation
+// stream: the compute gap since its previous access (from the ip
+// column), then the access itself at addr.
+func (rt *replayThread) appendAccess(ev *Event, addr mem.Addr) error {
+	if ev.Size > 255 {
+		return fmt.Errorf("trace: access size %d unsupported (max 255)", ev.Size)
+	}
+	var gap uint64
+	if ev.IP > rt.lastIP {
+		gap = ev.IP - rt.lastIP - 1
+		rt.lastIP = ev.IP
+	}
+	// Size 0 (imported traces with unknown width) replays as a word
+	// access; everything else keeps its recorded width.
+	size := uint8(ev.Size)
+	if size == 0 {
+		size = 4
+	}
+	rt.ops = append(rt.ops, replayOp{gap: gap, addr: addr, size: size, write: ev.Write})
+	return nil
+}
+
 func (p *replayPhase) thread(tid mem.ThreadID) *replayThread {
 	t := p.threads[tid]
 	if t == nil {
@@ -123,8 +145,12 @@ func Read(r io.Reader) (*Replay, error) {
 	rp := &Replay{phases: make(map[int]*replayPhase), maxPhase: -1}
 	d := NewDecoder(r)
 	sawProgram := false
+	// Accesses arrive in long same-phase runs, so the current phase is
+	// cached rather than looked up per record.
+	var cur *replayPhase
+	curIdx := -1
 	for {
-		ev, err := d.Next()
+		ev, err := d.read()
 		if err == io.EOF {
 			break
 		}
@@ -158,23 +184,13 @@ func Read(r io.Reader) (*Replay, error) {
 			t.endInstrs = ev.Instrs
 			t.sawEnd = true
 		case KindAccess:
-			if ev.Size > 255 {
-				return nil, fmt.Errorf("trace: access size %d unsupported (max 255)", ev.Size)
+			if ev.Phase != curIdx {
+				curIdx, cur = ev.Phase, rp.phase(ev.Phase)
+			}
+			if err := cur.thread(ev.TID).appendAccess(ev, ev.Addr); err != nil {
+				return nil, err
 			}
 			rp.Accesses++
-			t := rp.phase(ev.Phase).thread(ev.TID)
-			var gap uint64
-			if ev.IP > t.lastIP {
-				gap = ev.IP - t.lastIP - 1
-				t.lastIP = ev.IP
-			}
-			// Size 0 (imported traces with unknown width) replays as a
-			// word access; everything else keeps its recorded width.
-			size := uint8(ev.Size)
-			if size == 0 {
-				size = 4
-			}
-			t.ops = append(t.ops, replayOp{gap: gap, addr: ev.Addr, size: size, write: ev.Write})
 		}
 	}
 	if !sawProgram {

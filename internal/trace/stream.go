@@ -160,7 +160,7 @@ func openShared(path string) (*streamShared, error) {
 		d := newSeededDecoder(cr, nil, r.meta)
 		var nsyms, nobjs uint64
 		for {
-			ev, err := d.next()
+			ev, err := d.read()
 			if err == io.EOF {
 				break
 			}
@@ -208,7 +208,7 @@ func openShared(path string) (*streamShared, error) {
 			return nil, fmt.Errorf("trace: access size %d unsupported (max 255)", seg.maxSize)
 		}
 		d := newSeededDecoder(io.NewSectionReader(f, int64(seg.off), int64(seg.length)), seg.threads, seg.meta)
-		ev, err := d.next()
+		ev, err := d.read()
 		if err != nil {
 			return nil, fmt.Errorf("trace: index: segment for phase %d: %w", seg.phase, err)
 		}
@@ -250,7 +250,7 @@ func (sh *streamShared) restoreLayout(h *heap.Heap, syms *symtab.Table) error {
 		r := &sh.idx.regions[ri]
 		d := newSeededDecoder(io.NewSectionReader(f, int64(r.off), int64(r.length)), nil, r.meta)
 		for {
-			ev, err := d.next()
+			ev, err := d.read()
 			if err == io.EOF {
 				break
 			}
@@ -342,7 +342,7 @@ func (sh *streamShared) foreignLines(h *heap.Heap, syms *symtab.Table) ([]uint64
 			seg := &sh.idx.segs[si]
 			d := newSeededDecoder(io.NewSectionReader(f, int64(seg.off), int64(seg.length)), seg.threads, seg.meta)
 			for {
-				ev, err := d.next()
+				ev, err := d.read()
 				if err == io.EOF {
 					break
 				}
@@ -458,12 +458,18 @@ func (s *StreamReplay) loadPhase(si int) (map[mem.ThreadID]*replayThread, error)
 		return verifySpanCRC(sh.path, seg.phase, seg.off, cr, seg.crc, sh.idx.hasCRC, cause)
 	}
 
+	// Each thread's operation list is sized from the index's count, but
+	// the whole window's preallocation is capped by the most accesses
+	// the segment's bytes can hold, so a lying index cannot force a
+	// large allocation.
+	budget := seg.length / minAccessRecord
 	win := make(map[mem.ThreadID]*replayThread, len(seg.threads))
-	counts := make(map[mem.ThreadID]uint64, len(seg.threads))
 	for _, t := range seg.threads {
-		win[t.tid] = &replayThread{}
+		n := min(t.accesses, budget)
+		budget -= n
+		win[t.tid] = &replayThread{ops: make([]replayOp, 0, n)}
 	}
-	ev, err := d.next()
+	ev, err := d.read()
 	if err != nil {
 		return nil, checked(err)
 	}
@@ -472,7 +478,7 @@ func (s *StreamReplay) loadPhase(si int) (map[mem.ThreadID]*replayThread, error)
 	}
 	var total uint64
 	for {
-		ev, err := d.next()
+		ev, err := d.read()
 		if err == io.EOF {
 			break
 		}
@@ -494,29 +500,18 @@ func (s *StreamReplay) loadPhase(si int) (map[mem.ThreadID]*replayThread, error)
 			rt.sawEnd = true
 			continue
 		}
-		if ev.Size > 255 {
-			return nil, checked(fmt.Errorf("trace: access size %d unsupported (max 255)", ev.Size))
+		if err := rt.appendAccess(ev, remapForeign(s.runs, ev.Addr)); err != nil {
+			return nil, checked(err)
 		}
-		var gap uint64
-		if ev.IP > rt.lastIP {
-			gap = ev.IP - rt.lastIP - 1
-			rt.lastIP = ev.IP
-		}
-		size := uint8(ev.Size)
-		if size == 0 {
-			size = 4
-		}
-		rt.ops = append(rt.ops, replayOp{gap: gap, addr: remapForeign(s.runs, ev.Addr), size: size, write: ev.Write})
-		counts[ev.TID]++
 		total++
 	}
 	if total != seg.accesses {
 		return nil, checked(fmt.Errorf("trace: phase %d segment has %d accesses, index claims %d", seg.phase, total, seg.accesses))
 	}
 	for _, t := range seg.threads {
-		if counts[t.tid] != t.accesses {
+		if n := uint64(len(win[t.tid].ops)); n != t.accesses {
 			return nil, checked(fmt.Errorf("trace: phase %d thread %d has %d accesses, index claims %d",
-				seg.phase, t.tid, counts[t.tid], t.accesses))
+				seg.phase, t.tid, n, t.accesses))
 		}
 	}
 	if err := checked(nil); err != nil {

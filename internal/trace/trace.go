@@ -171,6 +171,8 @@ type Decoder struct {
 	err  error
 	// bd is set for binary streams, for framing/index introspection.
 	bd *binaryDecoder
+	// ev holds the current text event for read.
+	ev Event
 }
 
 // NewDecoder wraps r, detecting text or binary framing from the first
@@ -218,6 +220,25 @@ func (d *Decoder) Next() (Event, error) {
 		return Event{}, d.err
 	}
 	ev, err := d.next()
+	if err != nil {
+		d.err = err
+	}
+	return ev, err
+}
+
+// read is Next for the in-package builders: it returns an event the
+// decoder owns and overwrites on the following call, so a binary record
+// is consumed without copying it.
+func (d *Decoder) read() (*Event, error) {
+	if d.bd == nil || d.err != nil {
+		ev, err := d.Next()
+		if err != nil {
+			return nil, err
+		}
+		d.ev = ev
+		return &d.ev, nil
+	}
+	ev, err := d.bd.read()
 	if err != nil {
 		d.err = err
 	}
