@@ -68,7 +68,6 @@ import (
 	"time"
 
 	"repro/internal/atomicfile"
-	engine "repro/internal/exec"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -90,10 +89,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	threads := fs.Int("threads", 16, "worker threads per parallel phase")
 	workers := fs.Int("workers", 0, "max concurrent experiment cells (0 = GOMAXPROCS, 1 = serial)")
-	sched := fs.String("sched", "",
-		"engine thread scheduler: sorted (default), heap or calendar; results are byte-identical either way")
 	machineName := fs.String("machine", "",
-		"machine-model preset every cell simulates (topology, line size, protocol); empty = opteron48. Unlike -sched this changes results")
+		"machine-model preset every cell simulates (topology, line size, protocol); empty = opteron48")
 	app := fs.String("app", "linear_regression", "application for fig5 (case study report)")
 	benchOut := fs.String("bench-out", "",
 		"path for the machine-readable bench trajectory entry (with -experiment all)")
@@ -173,11 +170,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if !engine.ValidScheduler(*sched) {
-		fmt.Fprintf(stderr, "fsbench: unknown scheduler %q; available: %s\n",
-			*sched, strings.Join(engine.SchedulerNames(), ", "))
-		return 2
-	}
 	if _, ok := machine.Preset(*machineName); !ok {
 		fmt.Fprintf(stderr, "fsbench: unknown machine preset %q; available: %s\n",
 			*machineName, strings.Join(machine.Names(), ", "))
@@ -196,7 +188,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fsbench: serving metrics and pprof on http://%s\n", obsAddr)
 	}
 
-	cfg := harness.Config{Scale: *scale, Threads: *threads, Workers: *workers, Sched: *sched, Machine: *machineName}
+	cfg := harness.Config{Scale: *scale, Threads: *threads, Workers: *workers, Machine: *machineName}
 	sharded := *workersProcs > 0 || *listenAddr != ""
 	if sharded && *experiment != "all" && *replayShards == 0 {
 		fmt.Fprintf(stderr, "fsbench: -workers-procs/-listen shard the full sweep; use -experiment all or -replay-shards\n")
@@ -273,10 +265,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		elapsed := time.Since(start)
 		fmt.Fprint(stdout, res.Format())
 		if *benchOut != "" || *benchGate != "" {
-			schedName := *sched
-			if schedName == "" {
-				schedName = engine.SchedSorted
-			}
 			presetName := *machineName
 			if presetName == "" {
 				presetName = machine.DefaultName
@@ -290,7 +278,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				WallSeconds: elapsed.Seconds(),
 				Scale:       *scale,
 				Threads:     *threads,
-				Sched:       schedName,
 				Machine:     presetName,
 				TraceFormat: trace.BinaryVersion,
 				ReplayMode:  *replayMode,

@@ -45,11 +45,9 @@ func (e *Engine) accessPace(id mem.ThreadID) (instrPace, cyclePace uint64, ok bo
 	return instrPace, cyclePace, true
 }
 
-// The batched drivers: one per concrete scheduler type, with identical
-// bodies, so Min/NextKey/FixMin/PopMin bind directly instead of through
-// the interface. Each scheduler round runs the minimum thread through a
-// whole timeslice (runSlice) rather than a single op.
-
+// driveSorted is the batched engine loop: each scheduler round runs the
+// minimum thread through a whole timeslice (runSlice) rather than a
+// single op.
 func (e *Engine) driveSorted(q *sortedQueue) {
 	for q.Len() > 0 {
 		th := q.Min()
@@ -58,47 +56,6 @@ func (e *Engine) driveSorted(q *sortedQueue) {
 			q.FixMin()
 		} else {
 			q.PopMin()
-			e.finishThread(th)
-		}
-	}
-}
-
-func (e *Engine) driveHeap(h *threadHeap) {
-	for h.Len() > 0 {
-		th := h.Min()
-		vt, id := h.NextKey()
-		if e.runSlice(th, vt, id) {
-			h.FixMin()
-		} else {
-			h.PopMin()
-			e.finishThread(th)
-		}
-	}
-}
-
-func (e *Engine) driveCalendar(q *calendarQueue) {
-	for q.Len() > 0 {
-		th := q.Min()
-		vt, id := q.NextKey()
-		if e.runSlice(th, vt, id) {
-			q.FixMin()
-		} else {
-			q.PopMin()
-			e.finishThread(th)
-		}
-	}
-}
-
-// driveSched is the interface-dispatch fallback for scheduler types the
-// engine does not know concretely.
-func (e *Engine) driveSched(s Scheduler) {
-	for s.Len() > 0 {
-		th := s.Min()
-		vt, id := s.NextKey()
-		if e.runSlice(th, vt, id) {
-			s.FixMin()
-		} else {
-			s.PopMin()
 			e.finishThread(th)
 		}
 	}

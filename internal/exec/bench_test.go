@@ -11,7 +11,7 @@ import (
 // address-dependent latency. The variance keeps thread clocks diffusing
 // past each other, so the engine's leader changes on almost every
 // operation — the scheduler-heaviest regime, which is exactly what
-// these benchmarks compare across implementations. (A real cache
+// these benchmarks measure. (A real cache
 // simulator would add its own large constant cost to every access and
 // drown the scheduler signal.)
 type benchMachine struct{ cores int }
@@ -25,7 +25,7 @@ func (m *benchMachine) Cores() int { return m.cores }
 // issuing opsPerThread interleaved stores/loads over a private stripe
 // plus short computes — per-thread streams long enough to amortize
 // startup, with occasional long computes so far-future reinsertion
-// (the calendar's spill path) is part of the measured mix.
+// (a walk to the front of the sorted queue) is part of the measured mix.
 func benchProgram(threads, opsPerThread int) Program {
 	bodies := make([]Body, threads)
 	for i := range bodies {
@@ -47,17 +47,24 @@ func benchProgram(threads, opsPerThread int) Program {
 	return Program{Name: "sched-bench", Phases: []Phase{ParallelPhase("p", bodies...)}}
 }
 
-// BenchmarkExecSched compares the schedulers on the engine's hot loop
-// at increasing thread counts. The per-op simulated throughput lands in
-// the simops/s metric; the acceptance bar is the calendar queue beating
-// the heap at 8+ threads.
+// benchLegs are the engine configurations the scheduler benchmarks
+// time: the production batched loop on the sorted queue, and the
+// unbatched loop on the O(n) reference scheduler it is checked against.
+var benchLegs = []struct {
+	name      string
+	unbatched bool
+}{{"sorted", false}, {"reference", true}}
+
+// BenchmarkExecSched times the engine's hot loop at increasing thread
+// counts, up to the 48- and 96-thread scaling points. The per-op
+// simulated throughput lands in the simops/s metric.
 func BenchmarkExecSched(b *testing.B) {
 	const opsPerThread = 20000
-	for _, threads := range []int{2, 8, 16, 32} {
-		for _, sched := range SchedulerNames() {
-			b.Run(fmt.Sprintf("threads=%d/%s", threads, sched), func(b *testing.B) {
+	for _, threads := range []int{2, 8, 16, 32, 48, 96} {
+		for _, leg := range benchLegs {
+			b.Run(fmt.Sprintf("threads=%d/%s", threads, leg.name), func(b *testing.B) {
 				cfg := DefaultConfig()
-				cfg.Sched = sched
+				cfg.Unbatched = leg.unbatched
 				var ops uint64
 				for i := 0; i < b.N; i++ {
 					e := New(&benchMachine{cores: threads + 1}, cfg)
@@ -84,16 +91,16 @@ func BenchmarkExecSchedTies(b *testing.B) {
 			t.Compute(3)
 		}
 	}
-	for _, threads := range []int{8, 32} {
+	for _, threads := range []int{8, 32, 48, 96} {
 		bodies := make([]Body, threads)
 		for i := range bodies {
 			bodies[i] = body
 		}
 		prog := Program{Name: "ties", Phases: []Phase{ParallelPhase("p", bodies...)}}
-		for _, sched := range SchedulerNames() {
-			b.Run(fmt.Sprintf("threads=%d/%s", threads, sched), func(b *testing.B) {
+		for _, leg := range benchLegs {
+			b.Run(fmt.Sprintf("threads=%d/%s", threads, leg.name), func(b *testing.B) {
 				cfg := DefaultConfig()
-				cfg.Sched = sched
+				cfg.Unbatched = leg.unbatched
 				for i := 0; i < b.N; i++ {
 					e := New(&fixedMachine{cores: threads + 1, latency: 5}, cfg)
 					e.Run(prog)

@@ -41,11 +41,11 @@ func (r *clockRecorder) Access(a mem.Access, instrs uint64) uint64 {
 func (r *clockRecorder) ThreadEnd(th exec.ThreadInfo) { r.threads = append(r.threads, th) }
 
 // equivEngineConfig is the engine configuration every suite run shares,
-// apart from the dimension under test.
-func equivEngineConfig(sched string, unbatched bool) exec.Config {
+// apart from the engine loop under test: batched on the sorted queue, or
+// unbatched on the reference scheduler.
+func equivEngineConfig(unbatched bool) exec.Config {
 	cfg := exec.DefaultConfig()
 	cfg.OpBuffer = 64 // small buffers exercise refill boundaries
-	cfg.Sched = sched
 	cfg.Unbatched = unbatched
 	return cfg
 }
@@ -57,12 +57,6 @@ func runWith(cfg exec.Config, prog exec.Program, probes ...exec.Probe) (exec.Res
 	rec := &clockRecorder{}
 	e := exec.New(sim, cfg, append([]exec.Probe{rec}, probes...)...)
 	return e.Run(prog), rec
-}
-
-// runUnder executes prog under the named scheduler with the batched
-// runner (the production configuration).
-func runUnder(sched string, prog exec.Program) (exec.Result, *clockRecorder) {
-	return runWith(equivEngineConfig(sched, false), prog)
 }
 
 // mustMatch fails the case unless two runs produced the identical
@@ -92,24 +86,6 @@ func mustMatch(t *testing.T, i int, refName, gotName string,
 	}
 }
 
-// TestSchedulerEquivalence is the engine half of the cross-scheduler
-// equivalence suite: every randomized program must produce an identical
-// execution under the sorted (default), heap and calendar schedulers.
-// ≥200 cases in -short, ≥2000 nightly; cases grow from trivially small,
-// so the first failing index is already near-minimal (reproduce from
-// equivSeed and the index).
-func TestSchedulerEquivalence(t *testing.T) {
-	addrs := []mem.Addr{0x1000, 0x1040, 0x2040, 0x8000}
-	for i := 0; i < equivCases(); i++ {
-		cfg := progen.Config{Seed: equivSeed, Case: i, Addrs: addrs, MaxThreads: 12}
-		refRes, refRec := runUnder(exec.SchedSorted, progen.Generate(cfg))
-		for _, sched := range []string{exec.SchedHeap, exec.SchedCalendar} {
-			res, rec := runUnder(sched, progen.Generate(cfg))
-			mustMatch(t, i, exec.SchedSorted, sched, refRes, res, refRec, rec)
-		}
-	}
-}
-
 // equivPMU returns a fresh sampling probe for the paced half of the
 // batched/unbatched suite: an AccessPacer makes the batched runner's
 // compute run-ahead earn its keep (probe calls must happen at exactly
@@ -120,43 +96,41 @@ func equivPMU() *pmu.PMU {
 		pmu.HandlerFunc(func(mem.Access, uint64) {}))
 }
 
-// TestBatchedUnbatchedEquivalence proves the batched timeslice runner
-// against its per-op reference loop: every randomized program must
-// produce the identical execution batched and unbatched, under all
-// three schedulers, both free-running and paced by a sampling PMU.
-// The unbatched loop (Config.Unbatched) is the oracle the batched
-// hot path is measured against. ≥200 cases in -short, ≥2000 nightly.
+// TestBatchedUnbatchedEquivalence proves the production engine against
+// its oracle: every randomized program must produce the identical
+// execution batched on the sorted queue and unbatched on the reference
+// scheduler, both free-running and paced by a sampling PMU. The oracle
+// (Config.Unbatched) shares neither its per-op loop nor its O(n) queue
+// with the hot path. ≥200 cases in -short, ≥2000 nightly; cases grow
+// from trivially small, so the first failing index is already
+// near-minimal (reproduce from equivSeed and the index).
 func TestBatchedUnbatchedEquivalence(t *testing.T) {
 	addrs := []mem.Addr{0x1000, 0x1040, 0x2040, 0x8000}
 	for i := 0; i < equivCases(); i++ {
 		cfg := progen.Config{Seed: equivSeed + 2, Case: i, Addrs: addrs, MaxThreads: 12}
-		refRes, refRec := runUnder(exec.SchedSorted, progen.Generate(cfg))
-		pacedRes, pacedRec := runWith(equivEngineConfig(exec.SchedSorted, false),
-			progen.Generate(cfg), equivPMU())
-		for _, sched := range exec.SchedulerNames() {
-			res, rec := runWith(equivEngineConfig(sched, true), progen.Generate(cfg))
-			mustMatch(t, i, "batched/"+exec.SchedSorted, "unbatched/"+sched,
-				refRes, res, refRec, rec)
+		refRes, refRec := runWith(equivEngineConfig(false), progen.Generate(cfg))
+		res, rec := runWith(equivEngineConfig(true), progen.Generate(cfg))
+		mustMatch(t, i, "batched/sorted", "unbatched/reference", refRes, res, refRec, rec)
 
-			res, rec = runWith(equivEngineConfig(sched, true), progen.Generate(cfg), equivPMU())
-			mustMatch(t, i, "paced batched/"+exec.SchedSorted, "paced unbatched/"+sched,
-				pacedRes, res, pacedRec, rec)
-		}
+		refRes, refRec = runWith(equivEngineConfig(false), progen.Generate(cfg), equivPMU())
+		res, rec = runWith(equivEngineConfig(true), progen.Generate(cfg), equivPMU())
+		mustMatch(t, i, "paced batched/sorted", "paced unbatched/reference", refRes, res, refRec, rec)
 	}
 }
 
-// TestSchedulerEquivalenceSelfCheck guards the suite itself: a run must
-// be deterministic against a re-run of the same scheduler, otherwise
-// "heap == calendar" could pass vacuously on noise.
+// TestSchedulerEquivalenceSelfCheck guards the equivalence suite itself:
+// each engine loop must be deterministic against a re-run of itself,
+// otherwise a batched/unbatched divergence could be noise rather than a
+// schedule bug.
 func TestSchedulerEquivalenceSelfCheck(t *testing.T) {
 	addrs := []mem.Addr{0x1000, 0x2040}
 	for i := 0; i < 25; i++ {
 		cfg := progen.Config{Seed: equivSeed + 1, Case: i, Addrs: addrs}
-		for _, sched := range exec.SchedulerNames() {
-			a, ra := runUnder(sched, progen.Generate(cfg))
-			b, rb := runUnder(sched, progen.Generate(cfg))
+		for _, unbatched := range []bool{false, true} {
+			a, ra := runWith(equivEngineConfig(unbatched), progen.Generate(cfg))
+			b, rb := runWith(equivEngineConfig(unbatched), progen.Generate(cfg))
 			if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(ra.accesses, rb.accesses) {
-				t.Fatalf("case %d: %s scheduler not deterministic across reruns", i, sched)
+				t.Fatalf("case %d (unbatched=%v): not deterministic across reruns", i, unbatched)
 			}
 		}
 	}

@@ -239,18 +239,21 @@ type Config struct {
 	// OpBuffer is the size of each thread's operation buffer; generation
 	// runs ahead of simulation by at most one buffer.
 	OpBuffer int
-	// Sched selects the thread scheduler: SchedSorted (the default, also
-	// selected by the empty string), SchedHeap or SchedCalendar. Every
-	// scheduler
-	// produces the identical deterministic schedule — the (vtime, id)
-	// order is total — so Sched trades only engine time; the
-	// cross-scheduler equivalence suite enforces byte-identical results.
+	// Sched names the thread scheduler. Only "" and SchedSorted are
+	// accepted — New panics on anything else — and both select the
+	// sorted run queue.
+	//
+	// Deprecated: the engine has one scheduler, so Sched selects nothing.
+	// It remains only because the repository benchmark (perfbench) still
+	// sets it, and goes once that caller drops it.
 	Sched string
-	// Unbatched selects the per-op reference loop instead of the batched
-	// timeslice runner (see runSlice). Both produce byte-identical
-	// results — TestBatchedUnbatchedEquivalence enforces it — so the flag
-	// trades only engine time; it exists as the oracle for that suite and
-	// for bisecting hot-path regressions.
+	// Unbatched selects the per-op reference loop, run on the naive
+	// reference scheduler, instead of the batched timeslice runner on
+	// the sorted queue (see runSlice). The two share neither loop nor
+	// queue, yet produce byte-identical results —
+	// TestBatchedUnbatchedEquivalence enforces it — so the flag trades
+	// only engine time; it exists as the oracle for that suite and for
+	// bisecting hot-path regressions.
 	Unbatched bool
 }
 
@@ -281,6 +284,9 @@ type Engine struct {
 func New(machine Machine, cfg Config, probes ...Probe) *Engine {
 	if cfg.OpBuffer <= 0 {
 		cfg.OpBuffer = DefaultConfig().OpBuffer
+	}
+	if cfg.Sched != "" && cfg.Sched != SchedSorted {
+		panic(fmt.Sprintf("exec: unknown scheduler %q", cfg.Sched))
 	}
 	return &Engine{machine: machine, probes: probes, cfg: cfg}
 }
@@ -399,10 +405,24 @@ func (e *Engine) coreFor(i int) int {
 	return 1 + i%(c-1)
 }
 
-// simulate interleaves runnable threads in minimum-virtual-time order
-// using the configured Scheduler.
+// simulate interleaves runnable threads in minimum-virtual-time order:
+// the batched loop on the sorted queue, or, under Config.Unbatched,
+// the per-op reference loop on the reference scheduler.
 func (e *Engine) simulate(threads []*thread) {
-	s := newSchedulerFor(e.cfg.Sched, len(threads))
+	if e.cfg.Unbatched {
+		s := &refSched{}
+		e.startThreads(threads, s)
+		e.simulateRef(s)
+		return
+	}
+	q := newSortedQueue(len(threads))
+	e.startThreads(threads, q)
+	e.driveSorted(q)
+}
+
+// startThreads launches every thread's generator and schedules the
+// threads whose bodies produced work; the rest finish immediately.
+func (e *Engine) startThreads(threads []*thread, s scheduler) {
 	for _, th := range threads {
 		th.startGen()
 		if th.refill() {
@@ -411,45 +431,26 @@ func (e *Engine) simulate(threads []*thread) {
 			e.finishThread(th)
 		}
 	}
-	if e.cfg.Unbatched {
-		e.simulateRef(s)
-		return
-	}
-	// Dispatch on the concrete scheduler type so the per-slice scheduler
-	// calls bind directly (Go's gcshape generics would share one
-	// dictionary-based instantiation across pointer types and keep the
-	// calls indirect).
-	switch s := s.(type) {
-	case *sortedQueue:
-		e.driveSorted(s)
-	case *threadHeap:
-		e.driveHeap(s)
-	case *calendarQueue:
-		e.driveCalendar(s)
-	default:
-		e.driveSched(s)
-	}
 }
 
 // simulateRef is the per-op reference loop, kept as the oracle the
-// batched-vs-unbatched equivalence suite checks runSlice against.
-func (e *Engine) simulateRef(s Scheduler) {
+// batched-vs-unbatched equivalence suites check runSlice against.
+func (e *Engine) simulateRef(s *refSched) {
 	for s.Len() > 0 {
 		// Run the earliest thread in place until it ceases to be the
 		// earliest, to amortize scheduler traffic over compute-heavy
-		// stretches; see the Scheduler docs for the run-in-place contract
-		// each implementation exploits. The schedule is identical either
-		// way — the (vtime, id) order is total. The first op always runs
-		// (Min holds the true (vtime, id) minimum, id tie-break included);
-		// after that the bound is strict: at vtime == limit the thread
-		// must re-enter the scheduler so the id tie-break — not whichever
+		// stretches. The schedule is identical either way — the
+		// (vtime, id) order is total. The first op always runs (Min holds
+		// the true (vtime, id) minimum, id tie-break included); after
+		// that the bound is strict: at vtime == limit the thread must
+		// re-enter the scheduler so the id tie-break — not whichever
 		// thread happens to be running — orders the tied work. This keeps
 		// the schedule invariant under compute-op granularity (a single
 		// Compute(n) versus any split summing to n), which trace replay
 		// relies on: recorded traces preserve only instruction deltas, not
 		// the original compute-op boundaries.
 		th := s.Min()
-		limit := s.NextVtime()
+		limit, _ := s.NextKey()
 		alive := true
 		for {
 			op := th.buf[th.pos]

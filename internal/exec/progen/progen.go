@@ -1,5 +1,5 @@
-// Package progen generates randomized fork-join programs for the
-// cross-scheduler equivalence suite: seeded, reproducible, and
+// Package progen generates randomized fork-join programs for the engine
+// equivalence suites: seeded, reproducible, and
 // shrink-friendly — the Case index scales every size knob, so case 0 is
 // a single thread issuing a handful of operations and later cases grow
 // toward paper-shaped programs (multiple serial/parallel/pooled phases,
@@ -11,7 +11,8 @@
 // consulting the generator at simulation time, so a program is safe to
 // run any number of times (and concurrently from its goroutine-per-
 // thread bodies) with identical behavior — the property the equivalence
-// suite runs under both schedulers and byte-compares.
+// suites rely on when they run a case under two engine loops and
+// byte-compare.
 package progen
 
 import (
@@ -137,7 +138,7 @@ func genBodies(rng *rand.Rand, addrs []mem.Addr, n, maxOps int) [][]genOp {
 // genOps materializes one operation list: loads/stores of every width
 // clustered around the base addresses (offsets span two cache lines, so
 // distinct threads collide on lines and words), compute blocks from
-// zero-length to far past any scheduler bucket horizon, and occasional
+// zero-length to far past the other threads' clocks, and occasional
 // address reuse for true-sharing traffic.
 func genOps(rng *rand.Rand, addrs []mem.Addr, n int) []genOp {
 	ops := make([]genOp, n)
@@ -159,8 +160,8 @@ func genOps(rng *rand.Rand, addrs []mem.Addr, n int) []genOp {
 			ops[i] = genOp{kind: 'N', addr: addr, size: uint8(1 << rng.Intn(2))}
 		default:
 			// Compute gaps: mostly short, sometimes zero (no clock
-			// advance at all), rarely enormous (far-future wakeup —
-			// calendar spill territory).
+			// advance at all), rarely enormous (far-future wakeup: the
+			// thread re-enters at the front of the run queue).
 			var c int
 			switch rng.Intn(8) {
 			case 0:

@@ -1,62 +1,25 @@
 package exec
 
-import (
-	"fmt"
+import "repro/internal/mem"
 
-	"repro/internal/mem"
-)
+// SchedSorted is the only non-empty value Config.Sched accepts; it and
+// the empty string both select the sorted run queue, the engine's one
+// scheduler.
+const SchedSorted = "sorted"
 
-// Scheduler names accepted by Config.Sched and the CLIs' -sched flag.
-const (
-	// SchedSorted is the sorted-array run queue, the default: runnable
-	// threads in one descending-sorted slice, so peeking the minimum and
-	// the second-earliest key are plain loads and a reschedule is an
-	// insertion walk from the tail. An advancing thread almost always
-	// lands within a few positions of where it left (thread clocks
-	// cluster within one access latency), so the walk beats the heap's
-	// fixed 2·log n comparisons at every realistic thread count.
-	SchedSorted = "sorted"
-	// SchedHeap is the binary min-heap scheduler: O(log n) worst-case
-	// reschedules, the robust choice for heavily oversubscribed phases
-	// (hundreds of threads) where the sorted queue's insertion walk can
-	// degenerate.
-	SchedHeap = "heap"
-	// SchedCalendar is the calendar-queue (ladder) scheduler: O(1) on the
-	// common advance-and-reinsert path instead of O(log n).
-	SchedCalendar = "calendar"
-)
-
-// SchedulerNames lists the available scheduler implementations, in the
-// order CLIs should present them.
-func SchedulerNames() []string { return []string{SchedSorted, SchedHeap, SchedCalendar} }
-
-// ValidScheduler reports whether name selects a scheduler. The empty
-// string is valid and means the default (SchedSorted).
-func ValidScheduler(name string) bool {
-	switch name {
-	case "", SchedSorted, SchedHeap, SchedCalendar:
-		return true
-	}
-	return false
-}
-
-// Scheduler is the engine's thread-selection structure: a priority queue
+// scheduler is the engine's thread-selection structure: a priority queue
 // of runnable threads keyed by (vtime, id). The id tie-break makes the
-// key total, so any correct implementation yields the identical,
-// fully deterministic schedule — the cross-scheduler equivalence suite
-// (TestSchedulerEquivalence and the report-level suites above it)
-// enforces byte-identical results across implementations.
+// key total, so the schedule is fully deterministic. There are two
+// implementations: sortedQueue, which the batched loop runs on, and
+// refSched, the naive oracle behind Config.Unbatched. The interface
+// exists so TestSchedulerMatchesReference can run one script against
+// both.
 //
-// The engine's inner loop exploits a structural fact every
-// implementation must honor: the minimum thread stays *in* the scheduler
-// while it runs. The engine peeks the minimum (Min), runs it in place
-// until its clock passes the second-earliest key (NextVtime), then calls
-// FixMin to restore order — for the heap that is a single sift-down
-// (the second-earliest thread is always a root child), half the work of
-// a pop/push pair; for the calendar queue the minimum is held out of the
-// buckets entirely, so the common case is one key comparison and no
-// bucket traffic at all. Only Min's vtime may change between calls.
-type Scheduler interface {
+// The minimum thread stays *in* the scheduler while it runs: the engine
+// peeks the minimum (Min), runs it in place until its clock passes the
+// second-earliest key (NextKey), then calls FixMin to restore order.
+// Only Min's vtime may change between calls.
+type scheduler interface {
 	// Push inserts a runnable thread keyed by its current (vtime, id).
 	Push(th *thread)
 	// Len reports how many threads are scheduled.
@@ -64,14 +27,9 @@ type Scheduler interface {
 	// Min returns the thread with the smallest (vtime, id) key without
 	// removing it.
 	Min() *thread
-	// NextVtime returns the vtime of the second-earliest thread — the
-	// point up to which Min may run unchallenged — or ^uint64(0) when
-	// Min is alone.
-	NextVtime() uint64
-	// NextKey returns the full (vtime, id) key of the second-earliest
-	// thread, or (^uint64(0), maxThreadID) when Min is alone. The batched
-	// engine loop uses the id to run Min through exact-vtime ties it wins
-	// by id order without a scheduler round per op.
+	// NextKey returns the (vtime, id) key of the second-earliest thread —
+	// the point up to which Min may run unchallenged — or
+	// (^uint64(0), maxThreadID) when Min is alone.
 	NextKey() (uint64, mem.ThreadID)
 	// FixMin restores order after Min's vtime has increased in place.
 	FixMin()
@@ -83,18 +41,62 @@ type Scheduler interface {
 // thread id compares at or above it.
 const maxThreadID = mem.ThreadID(1<<31 - 1)
 
-// newSchedulerFor builds the scheduler selected by name (see Sched*
-// constants); the empty string selects the sorted queue. Callers
-// validate user-supplied names with ValidScheduler first — an unknown
-// name here is a programming error.
-func newSchedulerFor(name string, capacity int) Scheduler {
-	switch name {
-	case "", SchedSorted:
-		return newSortedQueue(capacity)
-	case SchedHeap:
-		return newThreadHeap(capacity)
-	case SchedCalendar:
-		return newCalendarQueue(capacity)
+// refSched is the reference scheduler: an unordered slice scanned
+// linearly on every query. It is O(n) per call and shares no code with
+// sortedQueue, which is what makes it a useful oracle. Like any
+// scheduler it orders by the key each thread had when last pushed or
+// fixed, so PopMin after an unfixed advance still removes the thread
+// that ran.
+type refSched struct{ items []refItem }
+
+// refItem is one reference-scheduler entry: the thread and its vtime
+// as of the last Push or FixMin.
+type refItem struct {
+	vt uint64
+	th *thread
+}
+
+func (r *refSched) Push(th *thread) { r.items = append(r.items, refItem{th.vtime, th}) }
+func (r *refSched) Len() int        { return len(r.items) }
+
+// minIndex returns the position of the smallest (vt, id) key, ignoring
+// position skip (-1 skips nothing), or -1 when no entry qualifies.
+func (r *refSched) minIndex(skip int) int {
+	best := -1
+	for i, it := range r.items {
+		if i == skip {
+			continue
+		}
+		if best < 0 {
+			best = i
+			continue
+		}
+		b := r.items[best]
+		if it.vt < b.vt || (it.vt == b.vt && it.th.id < b.th.id) {
+			best = i
+		}
 	}
-	panic(fmt.Sprintf("exec: unknown scheduler %q", name))
+	return best
+}
+
+func (r *refSched) Min() *thread { return r.items[r.minIndex(-1)].th }
+
+func (r *refSched) NextKey() (uint64, mem.ThreadID) {
+	i := r.minIndex(r.minIndex(-1))
+	if i < 0 {
+		return ^uint64(0), maxThreadID
+	}
+	return r.items[i].vt, r.items[i].th.id
+}
+
+func (r *refSched) FixMin() {
+	it := &r.items[r.minIndex(-1)]
+	it.vt = it.th.vtime
+}
+
+func (r *refSched) PopMin() *thread {
+	i := r.minIndex(-1)
+	th := r.items[i].th
+	r.items = append(r.items[:i], r.items[i+1:]...)
+	return th
 }

@@ -9,30 +9,33 @@ import (
 	"repro/internal/mem"
 )
 
-// newSchedulers builds one instance of every Scheduler implementation,
-// keyed by name, so ordering tests run identically against each.
-func newSchedulers(capacity int) map[string]Scheduler {
-	m := make(map[string]Scheduler)
-	for _, name := range SchedulerNames() {
-		m[name] = newSchedulerFor(name, capacity)
+// newSchedulers builds one instance of each scheduler implementation —
+// the production sorted queue and the reference — keyed by name, so
+// ordering tests run identically against both.
+func newSchedulers(capacity int) map[string]scheduler {
+	return map[string]scheduler{
+		"sorted":    newSortedQueue(capacity),
+		"reference": &refSched{},
 	}
-	return m
 }
 
+// TestSchedulerNames: the deprecated Config.Sched accepts only the empty
+// string and SchedSorted; New panics on the retired scheduler names and
+// anything else.
 func TestSchedulerNames(t *testing.T) {
-	for _, name := range SchedulerNames() {
-		if !ValidScheduler(name) {
-			t.Errorf("ValidScheduler(%q) = false for a listed scheduler", name)
-		}
-		if s := newSchedulerFor(name, 4); s == nil || s.Len() != 0 {
-			t.Errorf("newSchedulerFor(%q) = %v", name, s)
-		}
+	m := &fixedMachine{cores: 2, latency: 1}
+	for _, name := range []string{"", SchedSorted} {
+		New(m, Config{Sched: name}) // must not panic
 	}
-	if !ValidScheduler("") {
-		t.Error("ValidScheduler(\"\") = false; empty must mean the default")
-	}
-	if ValidScheduler("fifo") {
-		t.Error("ValidScheduler(\"fifo\") = true")
+	for _, name := range []string{"heap", "calendar", "fifo"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted scheduler %q", name)
+				}
+			}()
+			New(m, Config{Sched: name})
+		}()
 	}
 }
 
@@ -64,12 +67,16 @@ func TestSchedulerOrdering(t *testing.T) {
 	}
 }
 
-// TestSchedulerFarFuture drives keys far past the calendar horizon so
-// the spill list and its re-seeding are exercised: pops must still come
-// out in ascending vtime order under every implementation.
+// TestSchedulerFarFuture pushes keys spread from 0 to 2^40, out of
+// order, so most pushes land mid-queue: pops must still come out in
+// ascending vtime order under every implementation.
 func TestSchedulerFarFuture(t *testing.T) {
-	vts := []uint64{calHorizon, 1, 10 * calHorizon, calHorizon - 1, 1 << 40,
-		3 * calHorizon, 0, 10*calHorizon + calWidth, 1<<40 + 1, calHorizon + 1}
+	const (
+		width   = 8
+		horizon = 512
+	)
+	vts := []uint64{horizon, 1, 10 * horizon, horizon - 1, 1 << 40,
+		3 * horizon, 0, 10*horizon + width, 1<<40 + 1, horizon + 1}
 	for name, s := range newSchedulers(len(vts)) {
 		t.Run(name, func(t *testing.T) {
 			for i, v := range vts {
@@ -84,8 +91,8 @@ func TestSchedulerFarFuture(t *testing.T) {
 				}
 				got = append(got, popped.vtime)
 			}
-			want := []uint64{0, 1, calHorizon - 1, calHorizon, calHorizon + 1,
-				3 * calHorizon, 10 * calHorizon, 10*calHorizon + calWidth, 1 << 40, 1<<40 + 1}
+			want := []uint64{0, 1, horizon - 1, horizon, horizon + 1,
+				3 * horizon, 10 * horizon, 10*horizon + width, 1 << 40, 1<<40 + 1}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("pop order %v, want %v", got, want)
 			}
@@ -96,7 +103,7 @@ func TestSchedulerFarFuture(t *testing.T) {
 // schedOp is one scripted operation for the model-check test.
 type schedOp struct {
 	// push a thread with vtime vt (id assigned sequentially), or, when
-	// push is false, run the engine's Min/NextVtime/advance/FixMin-or-
+	// push is false, run the engine's Min/NextKey/advance/FixMin-or-
 	// PopMin cycle with the given advance delta (pop when pop is set).
 	push bool
 	vt   uint64
@@ -104,55 +111,13 @@ type schedOp struct {
 	pop  bool
 }
 
-// refSched is the naive reference Scheduler: a slice scanned linearly.
-type refSched struct{ ths []*thread }
-
-func (r *refSched) Push(th *thread) { r.ths = append(r.ths, th) }
-func (r *refSched) Len() int        { return len(r.ths) }
-func (r *refSched) minIndex() int {
-	best := 0
-	for i := 1; i < len(r.ths); i++ {
-		a, b := r.ths[i], r.ths[best]
-		if a.vtime < b.vtime || (a.vtime == b.vtime && a.id < b.id) {
-			best = i
-		}
-	}
-	return best
-}
-func (r *refSched) Min() *thread { return r.ths[r.minIndex()] }
-func (r *refSched) NextVtime() uint64 {
-	mi := r.minIndex()
-	next := ^uint64(0)
-	for i, th := range r.ths {
-		if i != mi && th.vtime < next {
-			next = th.vtime
-		}
-	}
-	return next
-}
-func (r *refSched) NextKey() (uint64, mem.ThreadID) {
-	mi := r.minIndex()
-	vt, id := ^uint64(0), maxThreadID
-	for i, th := range r.ths {
-		if i != mi && (th.vtime < vt || (th.vtime == vt && th.id < id)) {
-			vt, id = th.vtime, th.id
-		}
-	}
-	return vt, id
-}
-func (r *refSched) FixMin() {}
-func (r *refSched) PopMin() *thread {
-	mi := r.minIndex()
-	th := r.ths[mi]
-	r.ths = append(r.ths[:mi], r.ths[mi+1:]...)
-	return th
-}
-
-// TestSchedulerMatchesReference model-checks every implementation
-// against the naive reference over randomized scripts of pushes,
-// in-place advances (FixMin) and pops, with vtime deltas chosen to hit
-// the calendar queue's in-window, spill, re-seed and rebase paths.
+// TestSchedulerMatchesReference model-checks the sorted queue against
+// the reference over randomized scripts of pushes, in-place advances
+// (FixMin) and pops, with vtime deltas from a few cycles to several
+// times the spread of the live keys, so advanced threads land anywhere
+// from the tail to the front of the queue.
 func TestSchedulerMatchesReference(t *testing.T) {
+	const horizon = 512
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -162,15 +127,15 @@ func TestSchedulerMatchesReference(t *testing.T) {
 				r := rng.Intn(10)
 				switch {
 				case alive == 0 || r < 3:
-					// Deltas span sub-bucket to way-past-horizon; small
-					// absolute vtimes early make out-of-order phase-start
-					// pushes (the rebase path) likely.
+					// Small absolute vtimes make pushes behind threads
+					// that already advanced (out-of-order phase starts)
+					// likely.
 					script = append(script, schedOp{push: true,
-						vt: uint64(rng.Intn(4 * calHorizon))})
+						vt: uint64(rng.Intn(4 * horizon))})
 					alive++
 				case r < 8:
 					script = append(script, schedOp{
-						adv: 1 + uint64(rng.Intn(2*calHorizon))})
+						adv: 1 + uint64(rng.Intn(2*horizon))})
 				default:
 					script = append(script, schedOp{pop: true})
 					alive--
@@ -182,7 +147,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 				nextIDs     []mem.ThreadID
 				pops        []mem.ThreadID
 			}
-			runScript := func(s Scheduler) trace {
+			runScript := func(s scheduler) trace {
 				var tr trace
 				nextID := mem.ThreadID(1)
 				for _, op := range script {
@@ -196,9 +161,6 @@ func TestSchedulerMatchesReference(t *testing.T) {
 						th := s.Min()
 						tr.mins = append(tr.mins, th.vtime)
 						nvt, nid := s.NextKey()
-						if nvt != s.NextVtime() {
-							t.Fatalf("NextKey vt %d != NextVtime %d", nvt, s.NextVtime())
-						}
 						tr.nexts = append(tr.nexts, nvt)
 						tr.nextIDs = append(tr.nextIDs, nid)
 						th.vtime += op.adv
@@ -212,64 +174,50 @@ func TestSchedulerMatchesReference(t *testing.T) {
 			}
 
 			want := runScript(&refSched{})
-			for _, name := range SchedulerNames() {
-				got := runScript(newSchedulerFor(name, 8))
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s diverges from reference:\n got %+v\nwant %+v", name, got, want)
-				}
+			if got := runScript(newSortedQueue(8)); !reflect.DeepEqual(got, want) {
+				t.Errorf("sorted queue diverges from reference:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}
 }
 
-// runBoth executes prog under every scheduler on the given machine
-// builder and returns the recorded access stream and result per
-// scheduler name.
-func runBoth(t *testing.T, cfg Config, mkMachine func() Machine, prog Program) map[string]struct {
+// recordedRun is one execution's result and access stream.
+type recordedRun struct {
 	res Result
 	acc []mem.Access
-} {
-	t.Helper()
-	out := make(map[string]struct {
-		res Result
-		acc []mem.Access
-	})
-	for _, name := range SchedulerNames() {
-		c := cfg
-		c.Sched = name
-		rec := &recorder{}
-		e := New(mkMachine(), c, rec)
-		res := e.Run(prog)
-		out[name] = struct {
-			res Result
-			acc []mem.Access
-		}{res, rec.accesses}
-	}
-	return out
 }
 
-// assertSchedulersAgree fails unless every scheduler produced the
-// identical result and access stream.
-func assertSchedulersAgree(t *testing.T, runs map[string]struct {
-	res Result
-	acc []mem.Access
-}) {
+// runBoth executes prog on fresh machines from mkMachine twice: batched
+// on the sorted queue (the production engine) and unbatched on the
+// reference scheduler (the oracle).
+func runBoth(t *testing.T, cfg Config, mkMachine func() Machine, prog Program) (sorted, ref recordedRun) {
 	t.Helper()
-	base := runs[SchedHeap]
-	for name, r := range runs {
-		if !reflect.DeepEqual(r.res, base.res) {
-			t.Errorf("%s result diverges from heap:\n%+v\nvs\n%+v", name, r.res, base.res)
-		}
-		if !reflect.DeepEqual(r.acc, base.acc) {
-			t.Errorf("%s access stream diverges from heap (%d vs %d accesses)",
-				name, len(r.acc), len(base.acc))
-		}
+	runOnce := func(unbatched bool) recordedRun {
+		c := cfg
+		c.Unbatched = unbatched
+		rec := &recorder{}
+		res := New(mkMachine(), c, rec).Run(prog)
+		return recordedRun{res, rec.accesses}
+	}
+	return runOnce(false), runOnce(true)
+}
+
+// assertSchedulersAgree fails unless the sorted-queue and reference runs
+// produced the identical result and access stream.
+func assertSchedulersAgree(t *testing.T, sorted, ref recordedRun) {
+	t.Helper()
+	if !reflect.DeepEqual(sorted.res, ref.res) {
+		t.Errorf("sorted result diverges from reference:\n%+v\nvs\n%+v", sorted.res, ref.res)
+	}
+	if !reflect.DeepEqual(sorted.acc, ref.acc) {
+		t.Errorf("sorted access stream diverges from reference (%d vs %d accesses)",
+			len(sorted.acc), len(ref.acc))
 	}
 }
 
 // TestSingleThreadPhases: phases that never have a second runnable
 // thread — a serial phase and a one-body parallel phase — must behave
-// identically under every scheduler (the NextVtime == max sentinel
+// identically under both schedulers (the NextKey == max sentinel
 // path).
 func TestSingleThreadPhases(t *testing.T) {
 	prog := Program{
@@ -286,13 +234,13 @@ func TestSingleThreadPhases(t *testing.T) {
 			}),
 		},
 	}
-	runs := runBoth(t, Config{OpBuffer: 4, ThreadCreateCycles: 100, ThreadJoinCycles: 10},
+	sorted, ref := runBoth(t, Config{OpBuffer: 4, ThreadCreateCycles: 100, ThreadJoinCycles: 10},
 		func() Machine { return &fixedMachine{cores: 4, latency: 7} }, prog)
-	assertSchedulersAgree(t, runs)
+	assertSchedulersAgree(t, sorted, ref)
 	// Serial: 40 compute + 2 accesses * 7. Parallel: thread 0 of a phase
 	// pays no creation stagger, so 7 + 9, plus one join.
 	want := uint64(40 + 7 + 7 + 7 + 9 + 10)
-	if got := runs[SchedHeap].res.TotalCycles; got != want {
+	if got := sorted.res.TotalCycles; got != want {
 		t.Errorf("TotalCycles = %d, want %d", got, want)
 	}
 }
@@ -313,10 +261,10 @@ func TestZeroLatencyOps(t *testing.T) {
 		Name:   "zerolat",
 		Phases: []Phase{ParallelPhase("p", body(0x1000), body(0x2000), body(0x3000))},
 	}
-	runs := runBoth(t, Config{OpBuffer: 4},
+	sorted, ref := runBoth(t, Config{OpBuffer: 4},
 		func() Machine { return &fixedMachine{cores: 4, latency: 0} }, prog)
-	assertSchedulersAgree(t, runs)
-	acc := runs[SchedHeap].acc
+	assertSchedulersAgree(t, sorted, ref)
+	acc := sorted.acc
 	if len(acc) != 30 {
 		t.Fatalf("got %d accesses, want 30", len(acc))
 	}
@@ -333,7 +281,7 @@ func TestZeroLatencyOps(t *testing.T) {
 
 // TestVtimeTiesAcrossThreads: four threads with identical bodies and no
 // creation stagger stay tied on vtime for the whole run; the id
-// tie-break must serialize them identically under every scheduler.
+// tie-break must serialize them identically under both schedulers.
 func TestVtimeTiesAcrossThreads(t *testing.T) {
 	body := func(tt *T) {
 		for i := 0; i < 8; i++ {
@@ -345,10 +293,10 @@ func TestVtimeTiesAcrossThreads(t *testing.T) {
 		Name:   "ties",
 		Phases: []Phase{ParallelPhase("p", body, body, body, body)},
 	}
-	runs := runBoth(t, Config{OpBuffer: 4},
+	sorted, ref := runBoth(t, Config{OpBuffer: 4},
 		func() Machine { return &fixedMachine{cores: 8, latency: 5} }, prog)
-	assertSchedulersAgree(t, runs)
-	acc := runs[SchedHeap].acc
+	assertSchedulersAgree(t, sorted, ref)
+	acc := sorted.acc
 	if len(acc) != 32 {
 		t.Fatalf("got %d accesses, want 32", len(acc))
 	}
@@ -374,8 +322,8 @@ func TestVtimeTiesAcrossThreads(t *testing.T) {
 }
 
 // TestPooledPhasesAcrossSchedulers: pooled phases re-enter threads with
-// clocks mid-flight; both schedulers must agree across phase
-// boundaries.
+// clocks mid-flight; the sorted queue and the reference must agree
+// across phase boundaries.
 func TestPooledPhasesAcrossSchedulers(t *testing.T) {
 	mk := func(step int) Body {
 		return func(tt *T) {
@@ -393,7 +341,7 @@ func TestPooledPhasesAcrossSchedulers(t *testing.T) {
 			PooledPhase("p2", mk(2), mk(4), mk(6)),
 		},
 	}
-	runs := runBoth(t, Config{ThreadCreateCycles: 50, ThreadJoinCycles: 20, OpBuffer: 4},
+	sorted, ref := runBoth(t, Config{ThreadCreateCycles: 50, ThreadJoinCycles: 20, OpBuffer: 4},
 		func() Machine { return &fixedMachine{cores: 4, latency: 9} }, prog)
-	assertSchedulersAgree(t, runs)
+	assertSchedulersAgree(t, sorted, ref)
 }

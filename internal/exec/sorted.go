@@ -17,7 +17,7 @@ func (a sortedItem) less(b sortedItem) bool {
 	return a.vt < b.vt || (a.vt == b.vt && a.id < b.id)
 }
 
-// sortedQueue is the default Scheduler: every runnable thread in a ring
+// sortedQueue is the engine's run queue: every runnable thread in a ring
 // buffer sorted descending by (vtime, id), minimum at the logical tail.
 // The layout is chosen for the engine's actual call pattern — Min,
 // NextKey and PopMin are plain loads off the tail, and FixMin (the
@@ -30,11 +30,11 @@ func (a sortedItem) less(b sortedItem) bool {
 //     write (the vacated tail slot falls out of the window).
 //   - near-lockstep: clocks clustered within one memory latency, the
 //     advanced item landing a slot or two from the tail — a one- or
-//     two-step insertion walk, versus the heap's fixed ~2·log n.
+//     two-step insertion walk.
 //
 // The trade-off is an O(n) worst-case walk when one thread lands
-// mid-queue; for heavily oversubscribed phases SchedHeap remains
-// available.
+// mid-queue, which grows with the thread count: BenchmarkExecSched at
+// 48 and 96 threads measures it.
 type sortedQueue struct {
 	// buf is the ring storage; its length is a power of two. The live
 	// window is the size items starting at head, descending by (vt, id):
@@ -64,13 +64,6 @@ func (q *sortedQueue) idx(i int) int { return (q.head + i) & (len(q.buf) - 1) }
 
 func (q *sortedQueue) Len() int     { return q.size }
 func (q *sortedQueue) Min() *thread { return q.ths[q.buf[q.idx(q.size-1)].idx] }
-
-func (q *sortedQueue) NextVtime() uint64 {
-	if q.size < 2 {
-		return ^uint64(0)
-	}
-	return q.buf[q.idx(q.size-2)].vt
-}
 
 func (q *sortedQueue) NextKey() (uint64, mem.ThreadID) {
 	if q.size < 2 {

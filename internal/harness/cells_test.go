@@ -75,6 +75,16 @@ func TestCellValidateBounds(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid cell rejected: %v", err)
 	}
+	// The deprecated Sched accepts only "" and "sorted", which name the
+	// same scheduler and so share one identity.
+	sorted := good
+	sorted.Sched = "sorted"
+	if err := sorted.Validate(); err != nil {
+		t.Fatalf("explicit sorted scheduler rejected: %v", err)
+	}
+	if sorted.ID() != good.ID() {
+		t.Errorf("explicit sorted scheduler changed the cell ID: %q vs %q", sorted.ID(), good.ID())
+	}
 	bad := []Cell{
 		{Kind: "exec-anything", Workload: "figure1", Threads: 4, Cores: 48, Scale: 0.1},
 		{Kind: KindNative, Workload: "", Threads: 4, Cores: 48, Scale: 0.1},
@@ -88,6 +98,8 @@ func TestCellValidateBounds(t *testing.T) {
 			PMU: pmu.Config{Period: 1 << 60}},
 		{Kind: KindProfiled, Workload: "figure1", Threads: 4, Cores: 48, Scale: 0.1,
 			PMU: pmu.Config{Mode: 7}},
+		{Kind: KindNative, Workload: "figure1", Threads: 4, Cores: 48, Scale: 0.1, Sched: "heap"},
+		{Kind: KindNative, Workload: "figure1", Threads: 4, Cores: 48, Scale: 0.1, Sched: "calendar"},
 	}
 	for _, cell := range bad {
 		if err := cell.Validate(); err == nil {

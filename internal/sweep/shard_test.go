@@ -4,7 +4,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/harness"
 	"repro/internal/trace"
@@ -135,11 +137,37 @@ func TestPhaseShardWorkerKillRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Worker 0 dies holding the first shard it is handed. Worker 1 is
+	// not sent its first shard until worker 0 has taken one, so worker 0
+	// always has a shard to lose: ungated, a fast worker 1 could drain
+	// the queue before worker 0 finished its handshake. A worker 0 that
+	// never comes up, or dies before taking a shard, releases the gate
+	// too, so the sweep still finishes and the Retries check reports it.
+	taken := make(chan struct{})
+	var release sync.Once
+	releaseGate := func() { release.Do(func() { close(taken) }) }
 	spawn := func(i int) (io.ReadWriteCloser, error) {
-		if i == 0 {
-			// Worker 0 serves one shard, then dies holding a second.
-			return SpawnWorkerProc(exe, nil,
-				[]string{workerEnv + "=die-after", dieAfterEnv + "=1"}, os.Stderr)
+		switch i {
+		case 0:
+			w, err := SpawnWorkerProc(exe, nil,
+				[]string{workerEnv + "=die-after", dieAfterEnv + "=0"}, os.Stderr)
+			if err != nil {
+				releaseGate()
+				return nil, err
+			}
+			return &gatedConn{ReadWriteCloser: w, beforeFirstWrite: releaseGate, ended: releaseGate}, nil
+		case 1:
+			w, err := SpawnWorkerProc(exe, nil, []string{workerEnv + "=serve"}, os.Stderr)
+			if err != nil {
+				return nil, err
+			}
+			return &gatedConn{ReadWriteCloser: w, beforeFirstWrite: func() {
+				select {
+				case <-taken:
+				case <-time.After(time.Minute):
+					t.Error("worker 0 neither took a shard nor ended within a minute")
+				}
+			}}, nil
 		}
 		return SpawnWorkerProc(exe, nil, []string{workerEnv + "=serve"}, os.Stderr)
 	}
@@ -157,4 +185,36 @@ func TestPhaseShardWorkerKillRequeues(t *testing.T) {
 	if got != want {
 		t.Errorf("merged report after worker kill diverges:\n%s", firstDiff(want, got))
 	}
+}
+
+// gatedConn wraps a worker transport. beforeFirstWrite runs once, just
+// before the coordinator's first write to the worker; the worker speaks
+// first (its hello), so that write is the worker's first cell
+// assignment. ended, if set, runs when a read fails or the transport is
+// closed, that is, when the worker is gone.
+type gatedConn struct {
+	io.ReadWriteCloser
+	once             sync.Once
+	beforeFirstWrite func()
+	ended            func()
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.once.Do(c.beforeFirstWrite)
+	return c.ReadWriteCloser.Write(p)
+}
+
+func (c *gatedConn) Read(p []byte) (int, error) {
+	n, err := c.ReadWriteCloser.Read(p)
+	if err != nil && c.ended != nil {
+		c.ended()
+	}
+	return n, err
+}
+
+func (c *gatedConn) Close() error {
+	if c.ended != nil {
+		c.ended()
+	}
+	return c.ReadWriteCloser.Close()
 }

@@ -30,7 +30,7 @@
 //
 // Imported traces are approximations in the same sense as sampled
 // recordings: they replay deterministically (the acceptance bar is a
-// byte-identical report across runs and schedulers), but they do not
+// byte-identical report across runs and framings), but they do not
 // reproduce a ground-truth simulated run, because the original hardware
 // execution was never simulated.
 //

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	cheetah "repro"
-	"repro/internal/exec"
 	"repro/internal/exec/progen"
 	"repro/internal/heap"
 	"repro/internal/mem"
@@ -71,14 +70,14 @@ func recordIndexed(t *testing.T, dir string, i int, inSegment bool) (string, str
 	return path, canonicalReport(prof.Report()) + fmt.Sprintf("runtime %d cycles\n", res.TotalCycles)
 }
 
-// fullReplayReport replays the whole trace in memory under sched.
-func fullReplayReport(t *testing.T, path, sched string) string {
+// fullReplayReport replays the whole trace in memory.
+func fullReplayReport(t *testing.T, path string) string {
 	t.Helper()
 	rp, err := trace.ReadFile(path)
 	if err != nil {
 		t.Fatalf("full replay: %v", err)
 	}
-	sys := cheetah.New(cheetah.Config{Cores: rp.Cores, Engine: exec.Config{Sched: sched}})
+	sys := cheetah.New(cheetah.Config{Cores: rp.Cores})
 	if err := rp.Prepare(sys.Heap(), sys.Globals()); err != nil {
 		t.Fatalf("full replay prepare: %v", err)
 	}
@@ -87,14 +86,14 @@ func fullReplayReport(t *testing.T, path, sched string) string {
 }
 
 // streamReplayReport replays the trace phase-by-phase through the
-// windowed streaming replayer under sched.
-func streamReplayReport(t *testing.T, path, sched string) string {
+// windowed streaming replayer.
+func streamReplayReport(t *testing.T, path string) string {
 	t.Helper()
 	sr, err := trace.OpenStream(path)
 	if err != nil {
 		t.Fatalf("stream replay: %v", err)
 	}
-	sys := cheetah.New(cheetah.Config{Cores: sr.Cores, Engine: exec.Config{Sched: sched}})
+	sys := cheetah.New(cheetah.Config{Cores: sr.Cores})
 	if err := sr.Prepare(sys.Heap(), sys.Globals()); err != nil {
 		t.Fatalf("stream replay prepare: %v", err)
 	}
@@ -106,8 +105,7 @@ func streamReplayReport(t *testing.T, path, sched string) string {
 // for randomized generated programs, the streamed (windowed,
 // out-of-core) replay of the recorded indexed trace must produce a
 // detection report and runtime byte-identical to the full in-memory
-// replay — and to the recorded run itself — under both engine
-// schedulers. ≥200 cases in -short, ≥2000 nightly; cases grow from
+// replay — and to the recorded run itself. ≥200 cases in -short, ≥2000 nightly; cases grow from
 // trivially small, so the first failing index is already near-minimal.
 func TestStreamedReplayEquivalence(t *testing.T) {
 	dir := t.TempDir()
@@ -119,21 +117,15 @@ func TestStreamedReplayEquivalence(t *testing.T) {
 		inSegment := i%2 == 0
 		path, recorded := recordIndexed(t, dir, i, inSegment)
 
-		full := fullReplayReport(t, path, exec.SchedHeap)
+		full := fullReplayReport(t, path)
 		if inSegment && full != recorded {
 			t.Fatalf("case %d (seed %#x): full replay differs from recorded run\n--- recorded ---\n%s\n--- full ---\n%s",
 				i, streamEquivSeed, recorded, full)
 		}
-		stream := streamReplayReport(t, path, exec.SchedHeap)
+		stream := streamReplayReport(t, path)
 		if stream != full {
-			t.Fatalf("case %d (seed %#x): streamed replay differs from full replay (heap sched)\n--- full ---\n%s\n--- stream ---\n%s",
+			t.Fatalf("case %d (seed %#x): streamed replay differs from full replay\n--- full ---\n%s\n--- stream ---\n%s",
 				i, streamEquivSeed, full, stream)
-		}
-		fullCal := fullReplayReport(t, path, exec.SchedCalendar)
-		streamCal := streamReplayReport(t, path, exec.SchedCalendar)
-		if streamCal != fullCal {
-			t.Fatalf("case %d (seed %#x): streamed replay differs from full replay (calendar sched)\n--- full ---\n%s\n--- stream ---\n%s",
-				i, streamEquivSeed, fullCal, streamCal)
 		}
 		// The trace files accumulate in dir; drop each case's file once
 		// proven so the nightly 2000-case run stays light on disk.
