@@ -6,7 +6,6 @@
 //	cheetah [-threads 16] [-scale 1.0] [-period 64] [-machine opteron48] [-words] [-candidates] <workload>
 //	cheetah -record trace.out [-record-sampled] [-record-binary] <workload>
 //	cheetah -replay trace.out
-//	cheetah -replay-stream trace.out
 //	cheetah -index trace.out [-record indexed.trace]
 //	cheetah -trace-info trace.out
 //	cheetah -synth-trace 1000000 -record big.trace
@@ -35,9 +34,10 @@
 //
 // -index rewrites any decodable trace in the indexed binary v3 framing
 // (atomically, in place unless -record names the output): the same
-// record stream plus a seekable index block. Indexed traces replay with
-// bounded memory via -replay-stream, which loads one phase's records at
-// a time and prints a report byte-identical to -replay's. -trace-info
+// record stream plus a seekable index block. -replay of an indexed trace
+// loads one phase's records at a time, so memory stays bounded by the
+// largest phase; any other framing is scanned into memory, and the
+// report is byte-identical either way. -trace-info
 // prints a trace's metadata without building its program (reading only
 // the index and layout for indexed traces); -synth-trace writes a
 // deterministic indexed trace of the requested access count to -record,
@@ -92,8 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	recordSampled := fs.Bool("record-sampled", false, "record only PMU-sampled accesses (compact; replay is approximate)")
 	recordBinary := fs.Bool("record-binary", false, "write the trace in the compact binary framing instead of text")
 	replay := fs.String("replay", "", "replay a recorded trace instead of running a workload")
-	replayStream := fs.String("replay-stream", "",
-		"stream-replay an indexed trace with bounded memory (report is byte-identical to -replay)")
 	indexPath := fs.String("index", "",
 		"rewrite a trace in the indexed binary v3 framing, in place or to -record")
 	traceInfo := fs.String("trace-info", "", "print a trace file's metadata and exit")
@@ -164,13 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *indexPath != "" {
 		return runIndex(*indexPath, rec.path, stderr)
-	}
-	if *replayStream != "" {
-		if fs.NArg() != 0 {
-			fmt.Fprintln(stderr, "usage: cheetah -replay-stream <trace> takes no workload argument")
-			return 2
-		}
-		return runReplayStream(*replayStream, cfg, rec, *machineName, *words, *candidates, stdout, stderr)
 	}
 
 	if *importPerf != "" || *importIBS != "" {
@@ -313,12 +304,16 @@ func profileMaybeRecorded(sys *cheetah.System, prog cheetah.Program, cfg pmu.Con
 
 // profileRecorded profiles prog while streaming its accesses to a trace
 // file. The recorder probes charge zero cycles, so the report matches an
-// unrecorded profile of the same program.
+// unrecorded profile of the same program. The file is staged and renamed
+// into place at the end, so recording onto the trace being replayed
+// (which an indexed replay reads phase by phase) never truncates it
+// mid-read.
 func profileRecorded(sys *cheetah.System, prog cheetah.Program, cfg pmu.Config, path string, sampled, binary bool) (*cheetah.Report, cheetah.Result, error) {
-	f, err := os.Create(path)
+	f, err := atomicfile.Create(path)
 	if err != nil {
 		return nil, cheetah.Result{}, err
 	}
+	defer f.Abort() // no-op after a successful Commit
 	var enc trace.Encoder
 	if binary {
 		enc = trace.NewBinaryEncoder(f)
@@ -342,10 +337,9 @@ func profileRecorded(sys *cheetah.System, prog cheetah.Program, cfg pmu.Config, 
 	prof := sys.NewProfiler(cheetah.ProfileOptions{PMU: cfg})
 	res := sys.RunWith(prog, append(prof.Probes(), probes...)...)
 	if err := traceErr(); err != nil {
-		f.Close()
 		return nil, cheetah.Result{}, err
 	}
-	if err := f.Close(); err != nil {
+	if err := f.Commit(); err != nil {
 		return nil, cheetah.Result{}, err
 	}
 	return prof.Report(), res, nil
@@ -386,9 +380,10 @@ func replayConfig(cores int, machineSel string, notes []string) (cheetah.Config,
 
 // runReplay reconstructs a program from a trace file and profiles it on
 // a machine with the recorded core count, optionally re-recording it
-// (which converts between framings and full/sampled fidelity). The
-// replayed program runs on the recorded machine model unless -machine
-// overrides it.
+// (which converts between framings and full/sampled fidelity). An
+// indexed trace streams one phase at a time; any other framing is
+// scanned into memory. The replayed program runs on the recorded machine
+// model unless -machine overrides it.
 func runReplay(path string, cfg pmu.Config, rec recordOptions, machineSel string, words, candidates bool, stdout, stderr io.Writer) int {
 	rp, err := trace.ReadFile(path)
 	if err != nil {
@@ -406,35 +401,6 @@ func runReplay(path string, cfg pmu.Config, rec recordOptions, machineSel string
 		return 1
 	}
 	report, res, err := profileMaybeRecorded(sys, rp.Program(), cfg, rec, stderr)
-	if err != nil {
-		return 1
-	}
-	printReport(stdout, report, res, words, candidates)
-	return 0
-}
-
-// runReplayStream profiles an indexed trace through the streaming
-// replayer: the layout restores up front, but each phase's access
-// records load from disk only when the engine reaches the phase, so
-// peak memory is bounded by the largest phase. The report (and exit
-// behaviour) match runReplay on the same trace byte for byte.
-func runReplayStream(path string, cfg pmu.Config, rec recordOptions, machineSel string, words, candidates bool, stdout, stderr io.Writer) int {
-	sr, err := trace.OpenStream(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: opening indexed trace: %v\n", err)
-		return 1
-	}
-	ccfg, err := replayConfig(sr.Cores, machineSel, sr.Notes)
-	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: %v\n", err)
-		return 1
-	}
-	sys := cheetah.New(ccfg)
-	if err := sr.Prepare(sys.Heap(), sys.Globals()); err != nil {
-		fmt.Fprintf(stderr, "cheetah: preparing trace: %v\n", err)
-		return 1
-	}
-	report, res, err := profileMaybeRecorded(sys, sr.Program(), cfg, rec, stderr)
 	if err != nil {
 		return 1
 	}

@@ -102,6 +102,22 @@ func TestRunRecordReplayRoundTrip(t *testing.T) {
 	if wlOut.String() != recOut.String() {
 		t.Error("trace:<path> pseudo-workload output differs from recorded run")
 	}
+
+	// Re-recording an indexed trace onto itself: the replay reads the
+	// file phase by phase while the recording is written, so the new
+	// trace must not replace the old one before the run ends.
+	if code := run([]string{"-index", path}, &wlOut, &wlErr); code != 0 {
+		t.Fatalf("-index exit code %d, stderr:\n%s", code, wlErr.String())
+	}
+	for i := 0; i < 2; i++ {
+		var out, errOut strings.Builder
+		if code := run([]string{"-replay", path, "-record", path}, &out, &errOut); code != 0 {
+			t.Fatalf("re-record %d exit code %d, stderr:\n%s", i, code, errOut.String())
+		}
+		if out.String() != recOut.String() {
+			t.Errorf("re-record %d output differs from recorded run", i)
+		}
+	}
 }
 
 // TestRunRecordSampledBinary exercises the sampled + binary recording
@@ -332,12 +348,13 @@ func TestRunImportFlagValidation(t *testing.T) {
 	}
 }
 
-// TestRunStreamReplayGoldens pins the streamed replay of the two
-// checked-in fixtures — the hand-written sample trace and the imported
-// perf mem trace — against golden reports: -index rewrites each into the
-// seekable v3 framing, and -replay-stream must print bytes identical to
-// both -replay and the golden. A diff here means the out-of-core path
-// (or the engine schedule it relies on) changed observable behavior.
+// TestRunStreamReplayGoldens pins the replay of the two checked-in
+// fixtures — the hand-written sample trace and the imported perf mem
+// trace — against golden reports through both phase sources: -replay of
+// the fixture scans it into memory, -index rewrites it into the seekable
+// v3 framing, and -replay of that copy loads it phase by phase. Both must
+// print the golden's bytes. A diff here means a replay source (or the
+// engine schedule it relies on) changed observable behavior.
 func TestRunStreamReplayGoldens(t *testing.T) {
 	cases := []struct {
 		name, fixture, golden string
@@ -353,19 +370,19 @@ func TestRunStreamReplayGoldens(t *testing.T) {
 				t.Fatalf("-index exit %d, stderr:\n%s", code, errOut.String())
 			}
 			var full, stream, errs strings.Builder
-			if code := run([]string{"-replay", indexed}, &full, &errs); code != 0 {
-				t.Fatalf("-replay exit %d, stderr:\n%s", code, errs.String())
+			if code := run([]string{"-replay", tc.fixture}, &full, &errs); code != 0 {
+				t.Fatalf("-replay %s exit %d, stderr:\n%s", tc.fixture, code, errs.String())
 			}
-			if code := run([]string{"-replay-stream", indexed}, &stream, &errs); code != 0 {
-				t.Fatalf("-replay-stream exit %d, stderr:\n%s", code, errs.String())
-			}
-			if stream.String() != full.String() {
-				t.Errorf("streamed replay differs from full replay\n--- full ---\n%s\n--- stream ---\n%s",
-					full.String(), stream.String())
+			if code := run([]string{"-replay", indexed}, &stream, &errs); code != 0 {
+				t.Fatalf("-replay %s exit %d, stderr:\n%s", indexed, code, errs.String())
 			}
 			golden, err := os.ReadFile(tc.golden)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if full.String() != string(golden) {
+				t.Errorf("scanned replay differs from golden %s\n--- golden ---\n%s\n--- scanned ---\n%s",
+					tc.golden, golden, full.String())
 			}
 			if stream.String() != string(golden) {
 				t.Errorf("streamed replay differs from golden %s\n--- golden ---\n%s\n--- stream ---\n%s",

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -294,6 +295,29 @@ func TestBadSubmissionsRejected(t *testing.T) {
 	_, status, body := trySubmitTrace(t, ts, garbage, "")
 	if status != http.StatusBadRequest {
 		t.Errorf("garbage upload: status %d (%s), want 400", status, body)
+	}
+
+	// An indexed trace whose index payload is corrupt (format byte
+	// flipped) decodes sequentially, but replay rejects it, so admission
+	// must too rather than fail the job in a worker.
+	var v3 bytes.Buffer
+	enc := trace.NewIndexedEncoder(&v3)
+	if err := trace.WriteSynthetic(enc, trace.SynthConfig{Accesses: 256, Threads: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := v3.Bytes()
+	indexOff := binary.LittleEndian.Uint64(data[len(data)-16:])
+	_, n := binary.Uvarint(data[indexOff+1:])
+	data[indexOff+1+uint64(n)] ^= 0xFF
+	corrupt := filepath.Join(t.TempDir(), "corrupt-index.trace")
+	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, status, body := trySubmitTrace(t, ts, corrupt, ""); status != http.StatusBadRequest {
+		t.Errorf("corrupt-index upload: status %d (%s), want 400", status, body)
 	}
 
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",

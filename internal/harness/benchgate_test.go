@@ -16,10 +16,13 @@ func writeBaseline(t *testing.T, content string) string {
 	return path
 }
 
+// TestLoadBenchBaseline reads a v7 entry shaped like the committed
+// BENCH_harness.json, including the replay_mode stamp schema v10 dropped.
 func TestLoadBenchBaseline(t *testing.T) {
 	path := writeBaseline(t, `{
   "schema": "cheetah-bench/v7",
   "git_commit": "abc",
+  "replay_mode": "auto",
   "accesses": 296584511,
   "accesses_per_sec": 8897535.35,
   "wall_seconds": 33.3

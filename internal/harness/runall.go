@@ -162,10 +162,6 @@ type BenchEntry struct {
 	// (trace.BinaryVersion), so trajectory entries pin which format
 	// recorded/imported traces in that revision's artifacts use.
 	TraceFormat int `json:"trace_format"`
-	// ReplayMode is the trace replay mode the sweep ran under ("auto",
-	// "full" or "stream"), so streamed-replay timing points are
-	// distinguishable in the trajectory.
-	ReplayMode string `json:"replay_mode"`
 	// Accesses is the total simulated memory accesses behind the sweep's
 	// results. The count is summed from the per-thread records every cell
 	// result carries, so it is complete regardless of where the cells ran:
@@ -188,9 +184,10 @@ type BenchEntry struct {
 // accesses/sec throughput stamp, v7 the raw access count (aggregated
 // across worker processes and cache hits, where v6 stamped 0) and the
 // batched engine's throughput baseline for the CI regression gate, v8
-// the machine-model preset the sweep simulated, and v9 drops the engine
-// scheduler stamp (the engine has one scheduler).
-const BenchSchema = "cheetah-bench/v9"
+// the machine-model preset the sweep simulated, v9 drops the engine
+// scheduler stamp (the engine has one scheduler), and v10 drops the
+// trace replay mode stamp (trace replay has one builder).
+const BenchSchema = "cheetah-bench/v10"
 
 // MarshalIndent renders the entry as indented JSON with a trailing
 // newline, the on-disk format of BENCH_harness.json.

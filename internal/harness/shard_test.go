@@ -11,8 +11,8 @@ import (
 )
 
 // writePlanTrace writes a synthetic indexed trace and returns its
-// trace:<path> name plus the streaming view of its phase table.
-func writePlanTrace(t *testing.T, phases int) (string, []trace.StreamPhase) {
+// trace:<path> name plus its phase table.
+func writePlanTrace(t *testing.T, phases int) (string, []trace.PhaseInfo) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "plan.trace")
 	f, err := os.Create(path)

@@ -14,8 +14,8 @@ import (
 )
 
 // benchTrace is one fixed recorded program — linear_regression, 16
-// threads, scale 0.05, about 300k accesses — in the v2 framing the full
-// builder reads and the indexed v3 framing the streamed builder reads.
+// threads, scale 0.05, about 300k accesses — in the v2 framing replay
+// scans into memory and the indexed v3 framing it loads phase by phase.
 var benchTrace = struct {
 	once     sync.Once
 	v2, v3   []byte
@@ -123,7 +123,7 @@ func benchOpen(b *testing.B, data []byte, accesses uint64, open func(string) err
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(accesses)), "ns/access")
 }
 
-// BenchmarkReplayOpenFull times the full builder end to end short of
+// BenchmarkReplayOpenFull times the scan source end to end short of
 // simulation: decode the v2 fixture into operation lists, restore its
 // layout and assemble the program (trace.Validate).
 func BenchmarkReplayOpenFull(b *testing.B) {
@@ -131,12 +131,12 @@ func BenchmarkReplayOpenFull(b *testing.B) {
 	benchOpen(b, v2, accesses, trace.Validate)
 }
 
-// BenchmarkReplayOpenStream times the streamed builder over the same
+// BenchmarkReplayOpenStream times the indexed source over the same
 // program: open the v3 fixture, restore its layout, load every phase
-// window and assemble the program (trace.ValidateStream). The index and
-// open-time metadata are cached per file after the first iteration, as
-// they are across repeated replays of one trace.
+// window and assemble the program (the same trace.Validate). The index
+// and open-time metadata are cached per file after the first iteration,
+// as they are across repeated replays of one trace.
 func BenchmarkReplayOpenStream(b *testing.B) {
 	_, v3, _, accesses := loadBenchTrace(b)
-	benchOpen(b, v3, accesses, trace.ValidateStream)
+	benchOpen(b, v3, accesses, trace.Validate)
 }

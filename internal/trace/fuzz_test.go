@@ -124,10 +124,12 @@ func FuzzIndexOpen(f *testing.F) {
 		if err := s.Prepare(heap.New(heap.Config{}), symtab.New(symtab.Config{})); err != nil {
 			return
 		}
-		for si := range s.sh.segs {
+		for idx, p := range s.phases {
 			// Window loads may fail (the records under a syntactically
 			// valid index can still be garbage) but must not panic.
-			_, _ = s.loadPhase(si)
+			if p != nil {
+				_, _ = s.load(idx)
+			}
 		}
 	})
 }

@@ -17,7 +17,7 @@
 // byte range, per-thread record counts, and the v2 delta-prediction
 // snapshots (per-thread access state, running symbol/object state) that
 // let a reader start decoding cold from the segment's first byte — the
-// basis of the windowed streaming replayer in stream.go.
+// basis of the windowed phase loading in window.go.
 //
 // Indexes come from external files, so the reader validates everything
 // before use: the regions and segments must exactly tile the record
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sort"
 
 	"repro/internal/mem"
@@ -90,8 +89,8 @@ func (e *CorruptPayloadError) Error() string {
 // from it; generous for ~65k phases with wide thread sets.
 const maxIndexPayload = 1 << 28
 
-// ErrNoIndex reports a trace without a (valid) seekable index; callers
-// fall back to sequential decoding.
+// ErrNoIndex reports a trace without a seekable index; ReadFile and
+// ReadMetaFile fall back to a sequential scan on it, and on nothing else.
 var ErrNoIndex = errors.New("trace: no index block")
 
 // ErrUnindexable reports a record stream the IndexedEncoder could not
@@ -595,7 +594,7 @@ func readIndexAt(r io.ReaderAt, size int64) (*traceIndex, error) {
 	magic := binaryMagicFor(BinaryV3)
 	head := make([]byte, len(magic))
 	if size < int64(len(magic)) {
-		return nil, fmt.Errorf("trace: file too short for a binary trace")
+		return nil, fmt.Errorf("%w (too short for a binary v3 trace)", ErrNoIndex)
 	}
 	if _, err := r.ReadAt(head, 0); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
@@ -643,34 +642,6 @@ func readIndexAt(r io.ReaderAt, size int64) (*traceIndex, error) {
 		return nil, err
 	}
 	return idx, nil
-}
-
-// FileIsIndexed reports whether path looks like an indexed binary v3
-// trace (v3 magic plus a valid footer). It reads only the file's head
-// and tail; full index validation happens at OpenStream.
-func FileIsIndexed(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return false
-	}
-	magic := binaryMagicFor(BinaryV3)
-	if st.Size() < int64(len(magic)+footerSize+2) {
-		return false
-	}
-	head := make([]byte, len(magic))
-	var foot [footerSize]byte
-	if _, err := f.ReadAt(head, 0); err != nil || !bytes.Equal(head, magic) {
-		return false
-	}
-	if _, err := f.ReadAt(foot[:], st.Size()-footerSize); err != nil {
-		return false
-	}
-	return bytes.Equal(foot[8:], footerMagic)
 }
 
 // crcReader computes a running CRC32C over everything read through it,

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/heap"
 	"repro/internal/mem"
 	"repro/internal/symtab"
@@ -127,11 +128,11 @@ func TestIndexedTraceRoundTrip(t *testing.T) {
 	}
 
 	path := writeTemp(t, data)
-	if !FileIsIndexed(path) {
-		t.Error("FileIsIndexed = false for an indexed trace")
+	if rp, err := ReadFile(path); err != nil || rp.file == nil {
+		t.Errorf("ReadFile did not open an indexed trace through its index (err %v)", err)
 	}
-	if err := ValidateStream(path); err != nil {
-		t.Errorf("ValidateStream: %v", err)
+	if err := Validate(path); err != nil {
+		t.Errorf("Validate: %v", err)
 	}
 }
 
@@ -159,8 +160,8 @@ func TestUnindexableStreamFallsBack(t *testing.T) {
 		t.Errorf("readIndexAt = %v, want ErrNoIndex", err)
 	}
 	path := writeTemp(t, buf.Bytes())
-	if FileIsIndexed(path) {
-		t.Error("FileIsIndexed = true for a trace without an index")
+	if _, err := OpenStream(path); !errors.Is(err, ErrNoIndex) {
+		t.Errorf("OpenStream = %v, want ErrNoIndex", err)
 	}
 }
 
@@ -288,8 +289,18 @@ func TestIndexFaultInjection(t *testing.T) {
 			t.Errorf("corruption reported as benign ErrNoIndex: %v", err)
 		}
 		path := writeTemp(t, data)
-		if err := ValidateStream(path); err == nil {
-			t.Error("ValidateStream accepted a corrupted trace")
+		if err := Validate(path); err == nil {
+			t.Error("Validate accepted a corrupted trace")
+		}
+		// ReadFile and ReadMetaFile follow one rule: a present but
+		// broken index is an error, never a fallback to the scan.
+		if wantIndexError {
+			if _, err := ReadFile(path); err == nil {
+				t.Error("ReadFile accepted a corrupted index")
+			}
+			if _, err := ReadMetaFile(path); err == nil {
+				t.Error("ReadMetaFile accepted a corrupted index")
+			}
 		}
 		// The sequential decoder must terminate with EOF or a latched
 		// error, never resync or loop.
@@ -327,19 +338,40 @@ func TestIndexFaultInjection(t *testing.T) {
 				t.Fatalf("panic on poisoned thread state: %v", r)
 			}
 		}()
-		_ = ValidateStream(writeTemp(t, data))
+		_ = Validate(writeTemp(t, data))
 	})
 }
 
-// TestNonIndexedFormatsUnchanged: v1 corpus files, v2 buffers and text
-// traces must be untouched by the index machinery — not detected as
-// indexed, rejected by OpenStream, decoded exactly as before.
+// flatMachine is a uniform-latency machine for replays that only need
+// to run.
+type flatMachine int
+
+func (m flatMachine) Access(int, mem.Addr, bool, uint64) uint32 { return 1 }
+func (m flatMachine) Cores() int                                { return int(m) }
+
+// TestNonIndexedFormatsUnchanged: v1 corpus files, v2 buffers, text
+// traces and unindexable v3 streams must be untouched by the index
+// machinery — rejected by OpenStream with ErrNoIndex, decoded exactly as
+// before — and ReadFile must replay each through the in-memory scan,
+// loading no windows.
 func TestNonIndexedFormatsUnchanged(t *testing.T) {
 	var v2 bytes.Buffer
 	encodeAll(t, NewBinaryEncoder(&v2), sampleEvents())
 	var text bytes.Buffer
 	encodeAll(t, NewTextEncoder(&text), sampleEvents())
-	cases := map[string][]byte{"binary-v2": v2.Bytes(), "text": text.Bytes()}
+	// sampleEvents interleaves its phase records, so the indexed encoder
+	// writes a sequential v3 stream without an index.
+	var v3 bytes.Buffer
+	enc := NewIndexedEncoder(&v3)
+	for _, ev := range sampleEvents() {
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Close(); !errors.Is(err, ErrUnindexable) {
+		t.Fatalf("Close = %v, want ErrUnindexable", err)
+	}
+	cases := map[string][]byte{"binary-v2": v2.Bytes(), "text": text.Bytes(), "unindexable-v3": v3.Bytes()}
 
 	dir := filepath.Join("testdata", "corpus-v1")
 	entries, err := os.ReadDir(dir)
@@ -360,11 +392,22 @@ func TestNonIndexedFormatsUnchanged(t *testing.T) {
 				t.Fatal("trace decoded to zero events")
 			}
 			path := writeTemp(t, data)
-			if FileIsIndexed(path) {
-				t.Error("FileIsIndexed = true for a non-indexed trace")
+			if _, err := OpenStream(path); !errors.Is(err, ErrNoIndex) {
+				t.Errorf("OpenStream = %v, want ErrNoIndex", err)
 			}
-			if _, err := OpenStream(path); err == nil {
-				t.Error("OpenStream accepted a non-indexed trace")
+			rp, err := ReadFile(path)
+			if err != nil {
+				t.Fatalf("ReadFile: %v", err)
+			}
+			if err := rp.Prepare(heap.New(heap.Config{}), symtab.New(symtab.Config{})); err != nil {
+				t.Fatalf("Prepare: %v", err)
+			}
+			res := exec.New(flatMachine(rp.Cores), exec.Config{}).Run(rp.Program())
+			if res.Accesses() != rp.Accesses {
+				t.Errorf("replay ran %d accesses, trace has %d", res.Accesses(), rp.Accesses)
+			}
+			if loads, maxOps := rp.WindowStats(); loads != 0 || maxOps != 0 {
+				t.Errorf("scanned replay loaded %d windows (max %d ops), want none", loads, maxOps)
 			}
 		})
 	}
@@ -400,23 +443,27 @@ func TestStreamWindowStats(t *testing.T) {
 	}
 	// Drive the window exactly as the engine does: phases in order, every
 	// thread of a phase before the next phase.
-	for si := range s.sh.idx.segs {
-		for _, tid := range s.sh.segs[si].tids {
-			if rt := s.acquire(si, tid); rt == nil {
-				t.Fatalf("segment %d has no thread %d", si, tid)
+	phases := 0
+	for idx, p := range s.phases {
+		if p == nil {
+			continue
+		}
+		phases++
+		for _, tid := range p.tids {
+			if rt := s.acquire(idx, tid); rt == nil {
+				t.Fatalf("phase %d has no thread %d", idx, tid)
 			}
 		}
 	}
 	loads, maxOps := s.WindowStats()
-	if want := len(s.sh.idx.segs); loads != want {
-		t.Errorf("replay performed %d segment loads, want %d (one per phase)", loads, want)
+	if loads != phases {
+		t.Errorf("replay performed %d segment loads, want %d (one per phase)", loads, phases)
 	}
 	if maxOps == 0 || maxOps >= s.Accesses {
 		t.Errorf("max resident window %d ops is not bounded below the whole trace (%d)", maxOps, s.Accesses)
 	}
 	// Re-acquiring the resident segment must not reload it.
-	last := len(s.sh.idx.segs) - 1
-	s.acquire(last, mem.MainThread+1)
+	s.acquire(s.MaxPhase(), mem.MainThread+1)
 	if l, _ := s.WindowStats(); l != loads {
 		t.Errorf("re-acquire of the resident segment reloaded it (%d -> %d loads)", loads, l)
 	}

@@ -1,17 +1,20 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/mem"
 )
 
 // Meta summarizes a trace without building a Replay: identity, framing,
 // and structural counts. It exists for header inspection (`cheetah
-// -trace-info`) and shard planning, where decoding every access into
-// operation lists — what ReadFile does — would cost the whole file's
-// memory for an answer a scan (or, for indexed traces, the index alone)
-// provides.
+// -trace-info`) and upload admission (cheetahd), where decoding every
+// access into operation lists — what ReadFile does for a trace without
+// an index — would cost the whole file's memory for an answer a scan
+// (or, for indexed traces, the index alone) provides.
 type Meta struct {
 	// Name and Cores are the recorded program identity.
 	Name  string
@@ -102,22 +105,33 @@ func ReadMeta(r io.Reader) (*Meta, error) {
 
 // ReadMetaFile returns the trace's metadata, lazily: an indexed trace
 // answers from its index and layout regions without touching the access
-// records at all; anything else falls back to the ReadMeta scan.
+// records at all; a trace without an index falls back to the ReadMeta
+// scan. It follows ReadFile's rule, so a trace it accepts is one replay
+// can open: a present but broken index is an error, not a scan.
 func ReadMetaFile(path string) (*Meta, error) {
-	if FileIsIndexed(path) {
-		if sh, err := sharedFor(path); err == nil {
-			m := &Meta{
-				Name: sh.name, Cores: sh.cores,
-				Framing: fmt.Sprintf("binary v%d", BinaryV3), Indexed: true,
-				Accesses: sh.idx.accesses, Symbols: sh.symbols, Objects: sh.objects,
-				Phases: len(sh.segs), MaxPhase: sh.maxPhase,
-				Threads: len(threadUnion(sh)),
-				Notes:   sh.notes,
+	ixf, err := indexedFileFor(path)
+	if err == nil {
+		tids := make(map[mem.ThreadID]bool)
+		phases := 0
+		for _, p := range ixf.phases {
+			if p == nil {
+				continue
 			}
-			return m, nil
+			phases++
+			for _, tid := range p.tids {
+				tids[tid] = true
+			}
 		}
-		// A broken index falls through to the sequential scan, which
-		// reports the stream's own error if the records are broken too.
+		return &Meta{
+			Name: ixf.name, Cores: ixf.cores,
+			Framing: fmt.Sprintf("binary v%d", BinaryV3), Indexed: true,
+			Accesses: ixf.idx.accesses, Symbols: ixf.symbols, Objects: ixf.objects,
+			Phases: phases, MaxPhase: len(ixf.phases) - 1, Threads: len(tids),
+			Notes: ixf.notes,
+		}, nil
+	}
+	if !errors.Is(err, ErrNoIndex) {
+		return nil, err
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -125,14 +139,4 @@ func ReadMetaFile(path string) (*Meta, error) {
 	}
 	defer f.Close()
 	return ReadMeta(f)
-}
-
-func threadUnion(sh *streamShared) map[int64]bool {
-	tids := make(map[int64]bool)
-	for _, ss := range sh.segs {
-		for _, tid := range ss.tids {
-			tids[int64(tid)] = true
-		}
-	}
-	return tids
 }

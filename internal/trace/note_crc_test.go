@@ -82,8 +82,8 @@ func TestNoteRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(m.Notes, wantNotes) {
 		t.Errorf("indexed ReadMetaFile Notes = %v, want %v", m.Notes, wantNotes)
 	}
-	if err := ValidateStream(path); err != nil {
-		t.Errorf("ValidateStream on noted trace: %v", err)
+	if err := Validate(path); err != nil {
+		t.Errorf("Validate on noted indexed trace: %v", err)
 	}
 }
 
@@ -118,9 +118,9 @@ func TestPayloadCRCFaultInjection(t *testing.T) {
 	for name, off := range cases {
 		t.Run(name, func(t *testing.T) {
 			path := writeTemp(t, flip(off))
-			err := ValidateStream(path)
+			err := Validate(path)
 			if err == nil {
-				t.Fatal("ValidateStream accepted a corrupt payload under a valid index")
+				t.Fatal("Validate accepted a corrupt payload under a valid index")
 			}
 			var ce *CorruptPayloadError
 			if !errors.As(err, &ce) {
@@ -139,7 +139,7 @@ func TestPayloadCRCFaultInjection(t *testing.T) {
 	if _, err := readIndexAt(bytes.NewReader(flip(idx.segs[1].off)), int64(len(base))); err != nil {
 		t.Errorf("index block no longer parses after payload-only corruption: %v", err)
 	}
-	if !FileIsIndexed(path) {
-		t.Error("FileIsIndexed = false after payload-only corruption")
+	if _, err := OpenStream(path); err != nil {
+		t.Errorf("OpenStream failed after payload-only corruption: %v", err)
 	}
 }

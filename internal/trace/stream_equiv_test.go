@@ -70,10 +70,16 @@ func recordIndexed(t *testing.T, dir string, i int, inSegment bool) (string, str
 	return path, canonicalReport(prof.Report()) + fmt.Sprintf("runtime %d cycles\n", res.TotalCycles)
 }
 
-// fullReplayReport replays the whole trace in memory.
+// fullReplayReport replays the whole trace from the in-memory scan:
+// trace.Read over the file ignores its index.
 func fullReplayReport(t *testing.T, path string) string {
 	t.Helper()
-	rp, err := trace.ReadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rp, err := trace.Read(f)
 	if err != nil {
 		t.Fatalf("full replay: %v", err)
 	}
@@ -85,8 +91,8 @@ func fullReplayReport(t *testing.T, path string) string {
 	return canonicalReport(rep) + fmt.Sprintf("runtime %d cycles\n", res.TotalCycles)
 }
 
-// streamReplayReport replays the trace phase-by-phase through the
-// windowed streaming replayer.
+// streamReplayReport replays the trace phase by phase, loading one
+// window at a time through the index.
 func streamReplayReport(t *testing.T, path string) string {
 	t.Helper()
 	sr, err := trace.OpenStream(path)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	cheetah "repro"
 	"repro/internal/trace"
@@ -19,7 +18,6 @@ import (
 //
 // A `@<lo>-<hi>` suffix restricts replay to the inclusive phase range —
 // `trace:big.trace@0-63` — the unit of cross-worker trace sharding.
-// Ranged names require an indexed trace (they always stream).
 const TracePrefix = "trace:"
 
 // IsTraceName reports whether name denotes a trace pseudo-workload.
@@ -55,46 +53,6 @@ func TracePath(name string) string {
 	return path
 }
 
-// Replay modes select how trace pseudo-workloads load their file.
-const (
-	// ReplayAuto streams indexed traces and fully loads the rest.
-	ReplayAuto = "auto"
-	// ReplayFull always decodes the whole trace into memory.
-	ReplayFull = "full"
-	// ReplayStream always streams; non-indexed traces fail.
-	ReplayStream = "stream"
-)
-
-var replayMode = struct {
-	sync.Mutex
-	mode string
-}{mode: ReplayAuto}
-
-// SetTraceReplayMode selects the process-wide replay mode for trace
-// pseudo-workloads. The mode is deliberately not part of the workload
-// name: a cell's identity (and so the sweep cache key) is the same
-// whichever way the trace is loaded, because the resulting report is
-// proven byte-identical.
-func SetTraceReplayMode(mode string) error {
-	switch mode {
-	case ReplayAuto, ReplayFull, ReplayStream:
-	default:
-		return fmt.Errorf("workload: unknown replay mode %q (want %s, %s or %s)",
-			mode, ReplayAuto, ReplayFull, ReplayStream)
-	}
-	replayMode.Lock()
-	replayMode.mode = mode
-	replayMode.Unlock()
-	return nil
-}
-
-// TraceReplayMode returns the current process-wide replay mode.
-func TraceReplayMode() string {
-	replayMode.Lock()
-	defer replayMode.Unlock()
-	return replayMode.mode
-}
-
 // traceWorkload synthesizes the pseudo-workload for one trace file. The
 // replayed program's structure (threads, phases, work) comes entirely
 // from the trace, so Params.Threads, Scale and Fixed are ignored; the
@@ -111,42 +69,23 @@ func traceWorkload(name string) *Workload {
 		DefaultThreads: 16,
 		TotalThreads:   func(perPhase int) int { return perPhase },
 		Build: func(sys *cheetah.System, p Params) cheetah.Program {
-			mode := TraceReplayMode()
-			stream := ranged || mode == ReplayStream ||
-				(mode == ReplayAuto && trace.FileIsIndexed(path))
-			if !stream {
-				rp, err := trace.ReadFile(path)
-				if err != nil {
-					panic(fmt.Sprintf("workload: opening trace: %v", err))
-				}
-				if err := rp.Prepare(sys.Heap(), sys.Globals()); err != nil {
-					panic(fmt.Sprintf("workload: preparing trace %s: %v", path, err))
-				}
-				return rp.Program()
-			}
-			sr, err := trace.OpenStream(path)
+			rp, err := trace.ReadFile(path)
 			if err != nil {
 				panic(fmt.Sprintf("workload: opening trace: %v", err))
 			}
-			if err := sr.Prepare(sys.Heap(), sys.Globals()); err != nil {
+			if err := rp.Prepare(sys.Heap(), sys.Globals()); err != nil {
 				panic(fmt.Sprintf("workload: preparing trace %s: %v", path, err))
 			}
 			if ranged {
-				return sr.ProgramRange(lo, hi)
+				return rp.ProgramRange(lo, hi)
 			}
-			return sr.Program()
+			return rp.Program()
 		},
 	}
 }
 
 // ValidateTraceName rehearses the load path Build would take for the
-// named trace workload under the current replay mode, returning the
-// error Build would panic with.
+// named trace workload, returning the error Build would panic with.
 func ValidateTraceName(name string) error {
-	path, _, _, ranged := splitTraceName(name)
-	mode := TraceReplayMode()
-	if ranged || mode == ReplayStream || (mode == ReplayAuto && trace.FileIsIndexed(path)) {
-		return trace.ValidateStream(path)
-	}
-	return trace.Validate(path)
+	return trace.Validate(TracePath(name))
 }
