@@ -116,18 +116,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Execution backend: fresh in-process systems per cell by default
-	// (harness.RunCell — never the process-wide memoizing runner), or a
-	// persistent subprocess pool so simulations live outside the
-	// daemon's heap and a crashing cell kills a worker, not the service.
-	var pool *sweep.ProcPool
+	// (harness.RunCell — never the process-wide memoizing runner), or
+	// the sweep's worker pool over persistent subprocesses, so
+	// simulations live outside the daemon's heap and a crashing cell
+	// kills a worker, not the service. The pool retries a failed cell on
+	// another worker and replaces dead workers under the same policy it
+	// applies to fsbench sweeps; its workers report through the
+	// cheetah_sweep_* metrics on this daemon's /metrics.
 	if *workerProcs > 0 {
 		exe, err := os.Executable()
 		if err != nil {
 			fmt.Fprintf(stderr, "cheetahd: %v\n", err)
 			return 1
 		}
-		pool, err = sweep.NewProcPool(*workerProcs, func(i int) (io.ReadWriteCloser, error) {
-			return sweep.SpawnWorkerProc(exe, []string{"-worker"}, nil, stderr)
+		pool, err := sweep.NewPool(sweep.Config{
+			Procs: *workerProcs,
+			Spawn: func(int) (io.ReadWriteCloser, error) {
+				return sweep.SpawnWorkerProc(exe, []string{"-worker"}, nil, stderr)
+			},
+			Log: stderr,
 		})
 		if err != nil {
 			fmt.Fprintf(stderr, "cheetahd: %v\n", err)

@@ -160,24 +160,35 @@ func TestUploadedTraceReportMatchesCLIReplay(t *testing.T) {
 }
 
 // TestConcurrentIdenticalUploadsDedupe: N clients upload the same trace
-// at once; every report is byte-identical and the simulation runs far
-// fewer times than N (in-flight dedupe plus the result cache).
+// at once; every report is byte-identical and the simulation runs once
+// (in-flight dedupe). The one execution holds until every other job has
+// joined it, so the overlap does not depend on scheduling.
 func TestConcurrentIdenticalUploadsDedupe(t *testing.T) {
 	t.Parallel()
 	path := writeTrace(t, t.TempDir(), "a.trace", 0.05)
 	want := cliReplayReport(t, path)
 
+	const n = 30
 	var executions atomic.Int64
+	var queueRef atomic.Pointer[sweep.JobQueue]
 	qcfg := sweep.QueueConfig{
 		Workers: 8,
 		Exec: func(c harness.Cell) (harness.CellResult, error) {
 			executions.Add(1)
+			for deadline := time.Now().Add(60 * time.Second); queueRef.Load().Stats().CellsDeduped < n-1; {
+				if time.Now().After(deadline) {
+					t.Errorf("only %d of %d jobs joined the in-flight execution within 60s",
+						queueRef.Load().Stats().CellsDeduped, n-1)
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
 			return harness.RunCell(c)
 		},
 	}
 	ts, queue := testGateway(t, qcfg)
+	queueRef.Store(queue)
 
-	const n = 30
 	var wg sync.WaitGroup
 	reports := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -195,12 +206,10 @@ func TestConcurrentIdenticalUploadsDedupe(t *testing.T) {
 			t.Fatalf("report %d diverges from CLI replay", i)
 		}
 	}
-	// The uploads all content-address to one cell. Without a cache every
-	// concurrent wave dedupes to a single in-flight execution; waves that
-	// miss the overlap re-execute, so allow a little slack — but nowhere
-	// near one execution per job.
-	if got := executions.Load(); got > 3 {
-		t.Errorf("cell executed %d times for %d identical jobs, want <= 3", got, n)
+	// The uploads all content-address to one cell, and the execution
+	// outlasted every submission, so every other job joined it.
+	if got := executions.Load(); got != 1 {
+		t.Errorf("cell executed %d times for %d identical jobs, want 1", got, n)
 	}
 	s := queue.Stats()
 	if s.CellsExecuted+s.CellsDeduped+s.CellsCached != n {

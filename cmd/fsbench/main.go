@@ -322,7 +322,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// sweepConfig assembles the multi-process coordinator configuration:
+// sweepConfig assembles the multi-process sweep configuration:
 // procs spawned subprocess workers (this binary re-executed with
 // -worker), plus any remote workers that dial
 // listenAddr, with an optional on-disk result cache and per-cell
@@ -357,7 +357,7 @@ func sweepConfig(cfg harness.Config, procs int, listenAddr, cacheDir string, cac
 	return sc, nil
 }
 
-// runSharded runs the full sweep through the multi-process coordinator.
+// runSharded runs the full sweep on the multi-process worker pool.
 // The merged *harness.Results lands in *res.
 func runSharded(cfg harness.Config, procs int, listenAddr, cacheDir string, cacheMaxBytes int64, cellTimeout, progressEvery time.Duration, res **harness.Results, stderr io.Writer) (sweep.Stats, int) {
 	sc, err := sweepConfig(cfg, procs, listenAddr, cacheDir, cacheMaxBytes, cellTimeout, progressEvery, stderr)

@@ -2,24 +2,23 @@ package sweep
 
 import "repro/internal/obs"
 
-// Sweep observability: the coordinator's cell lifecycle
-// (enqueue→assign→result, with requeue/timeout/respawn detours) and
-// worker population, aggregated process-wide. Everything here is
+// Worker-pool observability: the cell lifecycle (enqueue→assign→result,
+// with requeue/timeout/respawn detours) and worker population of every
+// Pool in the process — fsbench sweeps and the cheetahd gateway's
+// -worker-procs alike — aggregated process-wide. Everything here is
 // touched per cell or per worker event — never per simulated access —
 // so the cost is invisible next to cell execution.
 var (
 	mCellsEnqueued = obs.GetCounter("cheetah_sweep_cells_enqueued_total",
-		"Cells queued for worker execution (cache misses).")
+		"Cells submitted to a worker pool (cache misses).")
 	mCellsCached = obs.GetCounter("cheetah_sweep_cells_cached_total",
 		"Cells satisfied from the on-disk result cache.")
 	mCellsCompleted = obs.GetCounter("cheetah_sweep_cells_completed_total",
 		"Cells completed by workers.")
 	mCellsRequeued = obs.GetCounter("cheetah_sweep_cells_requeued_total",
-		"Cell assignments requeued after a worker death or cell error.")
+		"Cell assignments retried after a worker death, timeout or cell error.")
 	mCellTimeouts = obs.GetCounter("cheetah_sweep_cell_timeouts_total",
 		"Cell assignments abandoned for exceeding the cell timeout.")
-	mCellsLateDropped = obs.GetCounter("cheetah_sweep_cells_late_dropped_total",
-		"Stale replies (results or errors) dropped because a requeued copy already completed the cell.")
 	mWorkersSpawned = obs.GetCounter("cheetah_sweep_workers_spawned_total",
 		"Workers that completed the hello handshake.")
 	mWorkersLost = obs.GetCounter("cheetah_sweep_workers_lost_total",

@@ -14,9 +14,9 @@ import (
 
 // This file is the job-queue layer behind the cheetahd gateway: many
 // concurrent detection jobs — each a set of harness cells — multiplexed
-// onto one bounded executor pool. Where the coordinator in this package
-// drives ONE sweep to completion and exits, the JobQueue is built for a
-// long-lived process: admission is bounded (a full queue rejects rather
+// onto one bounded executor. Where RunCells drives ONE sweep to
+// completion and exits, the JobQueue is built for a long-lived
+// process: admission is bounded (a full queue rejects rather
 // than buffering without limit), concurrency is budgeted per tenant so
 // one client cannot starve the rest, identical cells running at the
 // same moment collapse to a single execution (singleflight), and
@@ -53,7 +53,8 @@ type QueueConfig struct {
 	Cache *Cache
 	// Exec runs one cell (default harness.RunCell — a fresh, isolated
 	// system per cell, never the process-wide memoizing runner). A
-	// ProcPool's Exec shards cells over worker subprocesses instead.
+	// Pool's Exec runs cells on worker subprocesses instead, under the
+	// pool's retry and respawn policy.
 	Exec func(harness.Cell) (harness.CellResult, error)
 	// Log receives human-readable diagnostics (optional).
 	Log io.Writer
@@ -283,8 +284,8 @@ func (q *JobQueue) Submit(spec JobSpec) (*Job, error) {
 			return nil, fmt.Errorf("sweep: invalid cell in job: %w", err)
 		}
 	}
-	// Collapse duplicates within the job, same identity rule as the
-	// coordinator: one result per distinct cell ID.
+	// Collapse duplicates within the job, same identity rule as
+	// RunCells: one result per distinct cell ID.
 	seen := make(map[string]bool, len(spec.Cells))
 	cells := make([]harness.Cell, 0, len(spec.Cells))
 	for _, c := range spec.Cells {

@@ -368,7 +368,7 @@ func TestProcPoolExecMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool, err := NewProcPool(2, func(int) (io.ReadWriteCloser, error) { return pipeWorker(0) })
+	pool, err := NewPool(Config{Procs: 2, Spawn: func(int) (io.ReadWriteCloser, error) { return pipeWorker(0) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestProcPoolExecMatchesLocal(t *testing.T) {
 	// Crash injection: the first worker dies on its first assignment;
 	// the pool must respawn and serve the cell on the replacement.
 	spawned := 0
-	crashPool, err := NewProcPool(1, func(int) (io.ReadWriteCloser, error) {
+	crashPool, err := NewPool(Config{Procs: 1, Spawn: func(int) (io.ReadWriteCloser, error) {
 		spawned++
 		if spawned == 1 {
 			coord, worker := net.Pipe()
@@ -402,7 +402,7 @@ func TestProcPoolExecMatchesLocal(t *testing.T) {
 			return coord, nil
 		}
 		return pipeWorker(0)
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -314,7 +314,8 @@ func TestTCPWorkers(t *testing.T) {
 			Serve(conn, conn)
 		}()
 	}
-	res, stats, err := Run(Config{Harness: c, Listener: ln})
+	var logBuf strings.Builder
+	res, stats, err := Run(Config{Harness: c, Listener: ln, Log: &logBuf})
 	if err != nil {
 		t.Fatalf("TCP sweep: %v", err)
 	}
@@ -323,6 +324,17 @@ func TestTCPWorkers(t *testing.T) {
 	}
 	if got := res.Format(); got != serialText {
 		t.Errorf("TCP-sharded report diverges from serial:\n%s", firstDiff(serialText, got))
+	}
+
+	// Completion must also have closed the listener: no worker can be
+	// accepted into a finished sweep.
+	if conn, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+		conn.Close()
+		t.Error("listener still accepting after the sweep completed")
+	}
+	// And the accept loop's normal exit (net.ErrClosed) must not log.
+	if log := logBuf.String(); strings.Contains(log, "accept") {
+		t.Errorf("listener close logged a spurious accept error:\n%s", log)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // workload, missing trace file) are answered with error frames; the
 // loop keeps serving. cmd/fsbench -worker calls this on stdin/stdout or
 // a dialed TCP connection; process-level parallelism comes from the
-// coordinator spawning several workers.
+// pool spawning several workers.
 func Serve(r io.Reader, w io.Writer) error {
 	br := bufio.NewReader(r)
 	bw := bufio.NewWriter(w)
@@ -63,7 +63,7 @@ func Serve(r io.Reader, w io.Writer) error {
 	}
 }
 
-// ServeTCP dials the coordinator at addr and serves the connection —
+// ServeTCP dials a sweep's listener at addr and serves the connection —
 // the worker half of a cross-machine sweep.
 func ServeTCP(addr string) error {
 	conn, err := net.Dial("tcp", addr)
@@ -77,9 +77,9 @@ func ServeTCP(addr string) error {
 // procTransport is a worker subprocess seen as a transport: writes go
 // to its stdin, reads come from its stdout, Close shuts stdin (the
 // worker's EOF) and reaps the process, killing it if it lingers. Close
-// is idempotent and safe to call concurrently — a coordinator abort and
-// the worker goroutine's deferred Close can race, and exec.Cmd.Wait
-// must only ever run once.
+// is idempotent and safe to call concurrently — Pool.Close and a busy
+// Exec retiring the same worker can race, and exec.Cmd.Wait must only
+// ever run once.
 type procTransport struct {
 	cmd   *exec.Cmd
 	stdin io.WriteCloser
@@ -109,7 +109,7 @@ func (p *procTransport) Close() error {
 // SpawnWorkerProc starts `name args...` as a worker subprocess and
 // returns its stdin/stdout as a transport. extraEnv entries are
 // appended to the inherited environment; stderr passes through to the
-// given writer so worker diagnostics surface on the coordinator.
+// given writer so worker diagnostics surface in the spawning process.
 func SpawnWorkerProc(name string, args, extraEnv []string, stderr io.Writer) (io.ReadWriteCloser, error) {
 	cmd := exec.Command(name, args...)
 	cmd.Stderr = stderr
